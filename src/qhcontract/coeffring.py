@@ -8,6 +8,13 @@ divisibility by (q-1) is a substitution check, and no multivariate gcd is
 ever computed.  Fraction-free linear algebra elsewhere only needs
 ``exact_div``.
 
+Polynomials store their rational coefficients as ``int`` when integral and
+as ``Fraction`` only otherwise: the contraction pipeline works almost
+entirely on integer coefficients, and machine-size ``int`` arithmetic is
+far cheaper than building a ``Fraction`` per operation.  Accessors that
+hand a rational back to the caller (``QHPoly.constant``,
+``QHPoly.content``, ``Coeff.as_fraction``) still return ``Fraction``.
+
 All values are immutable after construction and every operation returns a
 canonical form, so equality is plain structural comparison.
 """
@@ -15,6 +22,7 @@ canonical form, so equality is plain structural comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 
 class NotAUnit(ArithmeticError):
@@ -29,12 +37,23 @@ class NotDivisible(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rat(x):
+    """A rational coefficient in canonical form: int when integral, else Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"cannot use {type(x).__name__} as a rational number")
+
+
+def _div(a, b):
+    """Rational quotient a / b of two canonical coefficients, canonical again."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _rat(a / b)
 
 
 def _grlex(mono):
@@ -45,20 +64,22 @@ def _grlex(mono):
 class QHPoly:
     """Polynomial in q and h over Q, keyed by (q-degree, h-degree).
 
-    Terms are stored in descending graded-lexicographic order with no zero
-    coefficients, so two equal polynomials are structurally identical.
+    Coefficients are nonzero and canonical: an ``int`` when integral and a
+    ``Fraction`` otherwise, so two equal polynomials have equal term dicts.
+    Terms are kept in the order they were produced, since dict equality
+    ignores order; :meth:`leading` takes the graded-lexicographic maximum
+    and printing sorts.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
+        self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = _frac(c)
+                c = _rat(c)
                 if c:
-                    data[mono] = c
-        self.terms = {m: data[m] for m in sorted(data, key=_grlex, reverse=True)}
+                    self.terms[mono] = c
 
     @classmethod
     def zero(cls) -> "QHPoly":
@@ -66,15 +87,15 @@ class QHPoly:
 
     @classmethod
     def one(cls) -> "QHPoly":
-        return cls({(0, 0): Fraction(1)})
+        return _wrap({(0, 0): 1})
 
     @classmethod
     def const(cls, r) -> "QHPoly":
-        return cls({(0, 0): _frac(r)})
+        return cls({(0, 0): r})
 
     @classmethod
     def monomial(cls, qdeg: int, hdeg: int, coeff=1) -> "QHPoly":
-        return cls({(qdeg, hdeg): _frac(coeff)})
+        return cls({(qdeg, hdeg): coeff})
 
     @classmethod
     def q(cls) -> "QHPoly":
@@ -86,7 +107,7 @@ class QHPoly:
 
     @classmethod
     def q_minus_1(cls) -> "QHPoly":
-        return cls({(1, 0): Fraction(1), (0, 0): Fraction(-1)})
+        return _wrap({(1, 0): 1, (0, 0): -1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -102,53 +123,45 @@ class QHPoly:
     def __add__(self, other: "QHPoly") -> "QHPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return QHPoly(out)
+            out[m] = out.get(m, 0) + c
+        return _canonical(out)
 
     def __neg__(self) -> "QHPoly":
-        return QHPoly({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "QHPoly") -> "QHPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) - c
+        return _canonical(out)
 
     def __mul__(self, other: "QHPoly") -> "QHPoly":
         out = {}
+        get = out.get
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 m = (a1 + a2, b1 + b2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return QHPoly(out)
+                out[m] = get(m, 0) + c1 * c2
+        return _canonical(out)
 
     def scaled(self, r) -> "QHPoly":
-        r = _frac(r)
-        if not r:
-            return QHPoly.zero()
-        return QHPoly({m: c * r for m, c in self.terms.items()})
+        r = _rat(r)
+        return _canonical({m: c * r for m, c in self.terms.items()})
 
     def leading(self):
         """Largest (monomial, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = next(iter(self.terms))
+        m = max(self.terms, key=_grlex)
         return m, self.terms[m]
 
     def is_constant(self) -> bool:
         return all(m == (0, 0) for m in self.terms)
 
     def constant(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms[(0, 0)]
+        return Fraction(self.terms.get((0, 0), 0))
 
     def q_valuation(self) -> int:
         """Largest s with q^s dividing the polynomial (0 for the zero poly)."""
@@ -161,7 +174,7 @@ class QHPoly:
             return self
         if any(a < s for (a, _b) in self.terms):
             raise NotDivisible(f"q^{s} does not divide {self}")
-        return QHPoly({(a - s, b): c for (a, b), c in self.terms.items()})
+        return _wrap({(a - s, b): c for (a, b), c in self.terms.items()})
 
     def h_valuation(self) -> int:
         """Largest s with h^s dividing the polynomial (0 for the zero poly)."""
@@ -174,50 +187,41 @@ class QHPoly:
             return self
         if any(b < s for (_a, b) in self.terms):
             raise NotDivisible(f"h^{s} does not divide {self}")
-        return QHPoly({(a, b - s): c for (a, b), c in self.terms.items()})
+        return _wrap({(a, b - s): c for (a, b), c in self.terms.items()})
 
     def mul_qpow(self, s: int) -> "QHPoly":
         if s == 0:
             return self
-        return QHPoly({(a + s, b): c for (a, b), c in self.terms.items()})
+        return _wrap({(a + s, b): c for (a, b), c in self.terms.items()})
 
     def mul_q1pow(self, s: int) -> "QHPoly":
-        out = self
-        g = QHPoly.q_minus_1()
-        for _ in range(s):
-            out = out * g
-        return out
+        if s == 0:
+            return self
+        return self * _q1_power(s)
 
     def at_q1(self) -> "QHPoly":
         """Substitute q = 1; the result only involves h."""
         out = {}
         for (_a, b), c in self.terms.items():
             m = (0, b)
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return QHPoly(out)
+            out[m] = out.get(m, 0) + c
+        return _canonical(out)
 
     def div_q1(self):
         """Quotient by (q-1) when the division is exact, else None."""
-        if self.is_zero():
-            return QHPoly.zero()
         cols = {}
         for (a, b), c in self.terms.items():
             cols.setdefault(b, {})[a] = c
         out = {}
         for b, col in cols.items():
-            d = max(col)
-            acc = Fraction(0)
-            for a in range(d, 0, -1):
-                acc += col.get(a, Fraction(0))
+            acc = 0
+            for a in range(max(col), 0, -1):
+                acc += col.get(a, 0)
                 if acc:
                     out[(a - 1, b)] = acc
-            if col.get(0, Fraction(0)) + acc:
+            if col.get(0, 0) + acc:
                 return None
-        return QHPoly(out)
+        return _canonical(out)
 
     def q1_valuation(self) -> int:
         """Largest s with (q-1)^s dividing the polynomial (0 for zero)."""
@@ -234,42 +238,47 @@ class QHPoly:
         """Exact quotient self / divisor; raises NotDivisible otherwise."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        (da, db), dc = divisor.leading()
+        if len(divisor.terms) == 1:  # a monomial: shift and scale each term
+            quo = {}
+            for (a, b), c in self.terms.items():
+                if a < da or b < db:
+                    raise NotDivisible(f"{divisor} does not divide {self}")
+                quo[(a - da, b - db)] = _div(c, dc)
+            return _wrap(quo)
         rem = dict(self.terms)
         quo = {}
-        (da, db), dc = divisor.leading()
         while rem:
             rm = max(rem, key=_grlex)
-            rc = rem[rm]
             qa, qb = rm[0] - da, rm[1] - db
             if qa < 0 or qb < 0:
                 raise NotDivisible(f"{divisor} does not divide {self}")
-            qc = rc / dc
-            quo[(qa, qb)] = quo.get((qa, qb), Fraction(0)) + qc
+            # the leading monomial of rem strictly falls, so each quotient
+            # monomial is produced exactly once
+            qc = quo[(qa, qb)] = _div(rem[rm], dc)
             for (a2, b2), c2 in divisor.terms.items():
                 m = (a2 + qa, b2 + qb)
-                s = rem.get(m, Fraction(0)) - qc * c2
+                s = rem.get(m, 0) - qc * c2
                 if s:
                     rem[m] = s
                 else:
-                    rem.pop(m, None)
-        return QHPoly(quo)
+                    del rem[m]
+        return _wrap(quo)
 
     def content(self) -> Fraction:
         """gcd of the coefficients (positive; 0 for the zero polynomial)."""
-        num = 0
-        den = 1
+        num, den = 0, 1
         for c in self.terms.values():
-            num = _gcd_int(num, abs(c.numerator))
-            den = _lcm_int(den, c.denominator)
-        if num == 0:
-            return Fraction(0)
-        return Fraction(num, den)
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+        return Fraction(num, den) if num else Fraction(0)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
-        for (a, b), c in self.terms.items():
+        for a, b in sorted(self.terms, key=_grlex, reverse=True):
+            c = self.terms[(a, b)]
             parts = []
             if a:
                 parts.append("q" if a == 1 else f"q^{a}")
@@ -290,16 +299,27 @@ class QHPoly:
         return f"QHPoly({self})"
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _wrap(terms) -> QHPoly:
+    """A QHPoly around a dict that is already canonical, without copying it."""
+    p = object.__new__(QHPoly)
+    p.terms = terms
+    return p
 
 
-def _lcm_int(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return a * b // _gcd_int(a, b)
+def _canonical(data) -> QHPoly:
+    """A QHPoly from raw int/Fraction sums: zeros dropped, integral values as int."""
+    return _wrap({m: c if type(c) is int else _rat(c) for m, c in data.items() if c})
+
+
+_Q1_POWERS = [QHPoly.one()]
+
+
+def _q1_power(k: int) -> QHPoly:
+    """(q-1)^k, expanded by the binomial theorem and kept for reuse."""
+    while len(_Q1_POWERS) <= k:
+        n = len(_Q1_POWERS)
+        _Q1_POWERS.append(_wrap({(i, 0): (-1) ** (n - i) * comb(n, i) for i in range(n + 1)}))
+    return _Q1_POWERS[k]
 
 
 def exact_div(a: QHPoly, b: QHPoly) -> QHPoly:
@@ -356,7 +376,7 @@ class Coeff:
 
     @classmethod
     def rational(cls, r) -> "Coeff":
-        return cls(QHPoly.const(_frac(r)))
+        return cls(QHPoly.const(r))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -9,14 +9,21 @@ evaluate at q = 1, and while the rank drops, replace one row by a
 vanishing combination divided by (q-1).  Each replacement strictly lowers
 the (q-1)-valuation of the row wedge, so the loop terminates.
 
-All linear algebra here is fraction-free (Bareiss) over Q[q,h]; rows of
-localized scalars are lifted to polynomial rows by clearing their unit
-denominators first, which does not change any span.
+All linear algebra here is fraction-free over Q[q,h] and goes through one
+Bareiss routine, ``_bareiss``, which returns the rank and, on request, one
+left-kernel vector from the same elimination.  Rows of localized scalars
+are lifted to polynomial rows by clearing their unit denominators and then
+made primitive (common q, h, (q-1) and rational factors stripped), which
+does not change any span; the lifted rows then have integer coefficients,
+which the scalar layer stores as plain ``int``.  A :class:`RelationSpan`
+ranks its rows at most once and keeps the result, and each round of the
+limit loop is a single elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .coeffring import Coeff, QHPoly
 from .superalgebra import AlgebraSpec, Element
@@ -105,18 +112,36 @@ def apply_subst(e: Element, s: Substitution) -> Element:
 
 
 class RelationSpan:
-    """Rows of degree-2 relation coefficients over a fixed word basis."""
+    """Rows of degree-2 relation coefficients over a fixed word basis.
+
+    The rows are fixed at construction, so the rank is computed at most
+    once and kept.
+    """
 
     def __init__(self, algebra: AlgebraSpec, basis, rows):
         self.algebra = algebra
         self.basis = [tuple(w) for w in basis]
-        self.rows = [list(r) for r in rows]
+        self.rows = [tuple(r) for r in rows]
         for r in self.rows:
             if len(r) != len(self.basis):
                 raise ValueError("row length does not match basis")
+        self._rank = None
+        self._lifted = None
 
     def rank(self) -> int:
-        return _rank(_poly_rows(self.rows))
+        if self._rank is None:
+            self._rank = _bareiss(self._primitive_rows())[0]
+        return self._rank
+
+    def _primitive_rows(self):
+        """The nonzero rows lifted to Q[q,h] and made primitive, computed once.
+
+        Each lifted row is a unit multiple of its row, so the span is the
+        same; stripping the common factors keeps the Bareiss minors small.
+        """
+        if self._lifted is None:
+            self._lifted = [_primitive(p) for p in map(_clear_row, self.rows) if any(p)]
+        return self._lifted
 
     def to_elements(self):
         out = []
@@ -157,29 +182,27 @@ def span_equal(a: RelationSpan, b: RelationSpan) -> bool:
     """True iff both spans have equal rank which the union also has."""
     if a.basis_names() != b.basis_names():
         raise ValueError("spans use different bases")
-    ra = _rank(_poly_rows(a.rows))
-    rb = _rank(_poly_rows(b.rows))
-    if ra != rb:
+    ra = a.rank()
+    if ra != b.rank():
         return False
-    return _rank(_poly_rows(a.rows) + _poly_rows(b.rows)) == ra
+    return _bareiss(a._primitive_rows() + b._primitive_rows())[0] == ra
 
 
 def limit_span(sp: RelationSpan) -> RelationSpan:
     """Limit of the row span at q = 1, returned over polynomials in h."""
-    rows = []
-    for row in sp.rows:
-        poly = _clear_row(row)
-        if any(not p.is_zero() for p in poly):
-            rows.append(_primitive(poly))
+    rows = list(sp._primitive_rows())
     if not rows:
         return RelationSpan(sp.algebra, sp.basis, [])
-    r0 = _rank(rows)
+    r0 = sp.rank()
     for _ in range(10000):
         evaluated = [[p.at_q1() for p in row] for row in rows]
-        if _rank(evaluated) == r0:
-            out = [[Coeff(p) for p in _primitive(row)] for row in evaluated]
-            return RelationSpan(sp.algebra, sp.basis, out)
-        combo = _left_kernel_vector(evaluated)
+        rank, combo = _bareiss(evaluated, kernel=True)
+        if rank == r0:
+            out = RelationSpan(sp.algebra, sp.basis,
+                               [[Coeff(p) for p in _primitive(row)] for row in evaluated])
+            # its rows are the evaluated rows up to unit factors
+            out._rank = rank
+            return out
         v = [QHPoly.zero()] * len(sp.basis)
         for t, row in zip(combo, rows):
             if t.is_zero():
@@ -223,12 +246,13 @@ def _primitive(row):
     t = min(p.q1_valuation() for p in nz)
     for _ in range(t):
         row = [p.div_q1() if not p.is_zero() else p for p in row]
-    content = Fraction(0)
+    num, den = 0, 1
     for p in row:
         for c in p.terms.values():
-            content = _frac_gcd(content, c)
-    if content and content != 1:
-        row = [p.scaled(1 / content) for p in row]
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+    if num and (num, den) != (1, 1):
+        row = [p.scaled(Fraction(den, num)) for p in row]
     for p in row:
         if not p.is_zero():
             if p.leading()[1] < 0:
@@ -237,93 +261,47 @@ def _primitive(row):
     return list(row)
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if not a:
-        return abs(b)
-    if not b:
-        return abs(a)
-    num = _int_gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // _int_gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+def _bareiss(rows, kernel: bool = False):
+    """Rank of Q[q,h] rows over the fraction field, by Bareiss elimination.
 
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _poly_rows(rows):
-    return [_clear_row(row) for row in rows]
-
-
-def _rank(rows) -> int:
-    """Rank over the fraction field, by Bareiss elimination on Q[q,h] rows."""
-    m = [list(r) for r in rows if any(not p.is_zero() for p in r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = QHPoly.one()
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            cr = m[r][col]
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[r][c] * p - cr * m[rank][c]).exact_div(prev)
-            m[r][col] = QHPoly.zero()
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _left_kernel_vector(rows):
-    """One nonzero combination of the rows summing to zero (Bareiss tracked).
-
-    Only called when the rows are dependent; the identity block appended on
-    the right carries the combination in terms of the original rows.
+    Returns ``(rank, combo)``.  With ``kernel`` an identity block rides
+    along on the right, and ``combo`` is one nonzero combination of the
+    original rows that sums to zero, or None when the rows are independent;
+    without it ``combo`` is None.
     """
     nrows = len(rows)
+    if not nrows:
+        return 0, None
     ncols = len(rows[0])
-    m = [
-        list(rows[i]) + [QHPoly.one() if j == i else QHPoly.zero() for j in range(nrows)]
-        for i in range(nrows)
-    ]
+    zero, one = QHPoly.zero(), QHPoly.one()
+    m = [list(row) for row in rows]
+    if kernel:
+        for i, row in enumerate(m):
+            row.extend(one if j == i else zero for j in range(nrows))
+    width = len(m[0])
     rank = 0
-    prev = QHPoly.one()
+    prev = one
     for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if not m[r][col].is_zero():
-                piv = r
-                break
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            cr = m[r][col]
-            for c in range(col + 1, ncols + nrows):
-                m[r][c] = (m[r][c] * p - cr * m[rank][c]).exact_div(prev)
-            m[r][col] = QHPoly.zero()
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            cr = row[col]
+            for c in range(col + 1, width):
+                x, y = row[c], top[c]
+                if cr and y:
+                    row[c] = (x * p - cr * y).exact_div(prev)
+                elif x:
+                    row[c] = (x * p).exact_div(prev)
+            row[col] = zero
         prev = p
         rank += 1
         if rank == nrows:
             break
-    for r in range(nrows):
-        if all(m[r][c].is_zero() for c in range(ncols)):
-            combo = m[r][ncols:]
-            if any(not t.is_zero() for t in combo):
-                return combo
-    raise RankDrop("no dependency found among the rows")  # pragma: no cover
+    # below the pivot rows the left block is zero, so row `rank` is a
+    # dependency whenever there is one
+    combo = m[rank][ncols:] if kernel and rank < nrows else None
+    return rank, combo

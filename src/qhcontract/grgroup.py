@@ -13,7 +13,7 @@ validates this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeffring import Coeff
 from .contract import RelationSpan, Substitution, relation_span
@@ -276,8 +276,7 @@ def dual_plane_substitution(qdp=None, hdp=None, h=None) -> Substitution:
 # -- covariance derivation ---------------------------------------------------------
 
 
-@dataclass
-class CovarianceProblem:
+class CovarianceProblem(NamedTuple):
     """A generic odd 2x2 matrix mapping one plane's points into another's.
 
     ``entry_coordinate_sign`` is the declared swap sign between the entry
@@ -425,8 +424,7 @@ def delta_right(grh: AlgebraSpec) -> Element:
     return c * b + a * d
 
 
-@dataclass
-class InverseReport:
+class InverseReport(NamedTuple):
     """Normal-formed residuals of the three inverse/determinant identities."""
 
     left_residual: AlgMat

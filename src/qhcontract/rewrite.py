@@ -16,7 +16,7 @@ form.  Failures are returned as data, not raised.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeffring import Coeff, NotAUnit
 from .superalgebra import AlgebraSpec, Element
@@ -26,14 +26,12 @@ class OrientationFailure(Exception):
     """The relation set cannot be turned into a terminating rule system."""
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     lhs: tuple
     rhs: Element
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
+class OverlapWitness(NamedTuple):
     word: tuple
     nf_a: Element
     nf_b: Element

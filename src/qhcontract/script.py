@@ -1,0 +1,346 @@
+"""Script language: the expression grammar and the script parser.
+
+A script is a sequence of definitions (algebras, matrices) and commands,
+one statement per line, with ``algebra`` and ``contract`` blocks closed by
+``end`` and ``#`` starting a comment.  :func:`parse_script` turns it into
+:class:`Node` records, which :class:`qhcontract.cli.Runner` executes.
+
+Expression grammar: integers, rational literals with ``/``, the symbols
+``q`` and ``h``, generator names (primes allowed as a trailing ``'``),
+``+ - * ^`` and parentheses.  Negative exponents and division are allowed
+when the divisor is a unit of the localized scalar ring, i.e. a product of
+rationals and powers of q and (q-1).
+"""
+
+from __future__ import annotations
+
+import re
+from typing import NamedTuple
+
+from .coeffring import Coeff, NotAUnit
+from .superalgebra import AlgebraSpec, Element
+
+
+class ParseError(Exception):
+    def __init__(self, message: str, line=None, col=None):
+        loc = ""
+        if line is not None:
+            loc = f"line {line}" + (f", column {col}" if col is not None else "") + ": "
+        super().__init__(loc + message)
+
+
+class UnknownName(ParseError):
+    pass
+
+
+class ArityError(ParseError):
+    pass
+
+
+# -- expression parsing -----------------------------------------------------------
+
+_SCALARS = AlgebraSpec("scalars", [])
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*'*)"
+    r"|(?P<op>\^|\+|-|\*|/|\(|\))"
+)
+
+
+class _ExprParser:
+    """Recursive-descent parser evaluating directly to an Element."""
+
+    def __init__(self, text: str, algebra: AlgebraSpec, line=None, col_base: int = 0):
+        self.algebra = algebra
+        self.line = line
+        self.col_base = col_base
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ParseError(
+                    f"unexpected character {text[pos]!r}", line, col_base + pos + 1
+                )
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), col_base + pos + 1))
+            pos = m.end()
+        self.i = 0
+
+    def _peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", None)
+
+    def _next(self):
+        tok = self._peek()
+        self.i += 1
+        return tok
+
+    def _error(self, message, col=None):
+        raise ParseError(message, self.line, col)
+
+    def parse(self) -> Element:
+        if not self.tokens:
+            self._error("empty expression")
+        value = self._expr()
+        kind, text, col = self._peek()
+        if kind is not None:
+            self._error(f"unexpected {text!r}", col)
+        return value
+
+    def _expr(self) -> Element:
+        value = self._term()
+        while True:
+            kind, text, _col = self._peek()
+            if kind == "op" and text in "+-":
+                self._next()
+                rhs = self._term()
+                value = value + rhs if text == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self) -> Element:
+        value = self._factor()
+        while True:
+            kind, text, col = self._peek()
+            if kind == "op" and text in "*/":
+                self._next()
+                rhs = self._factor()
+                if text == "*":
+                    value = value * rhs
+                else:
+                    value = value.scale(self._unit_scalar(rhs, col).try_inv())
+            else:
+                return value
+
+    def _factor(self) -> Element:
+        kind, text, _col = self._peek()
+        if kind == "op" and text == "-":
+            self._next()
+            return -self._factor()
+        return self._primary()
+
+    def _primary(self) -> Element:
+        value = self._atom()
+        kind, text, col = self._peek()
+        if kind == "op" and text == "^":
+            self._next()
+            n = self._exponent()
+            if n >= 0:
+                out = self.algebra.unit()
+                for _ in range(n):
+                    out = out * value
+                return out
+            inv = self._unit_scalar(value, col).try_inv()
+            return self.algebra.scalar(inv ** (-n))
+        return value
+
+    def _exponent(self) -> int:
+        kind, text, col = self._next()
+        sign = 1
+        if kind == "op" and text == "-":
+            sign = -1
+            kind, text, col = self._next()
+        if kind != "int":
+            self._error("exponent must be an integer", col)
+        return sign * int(text)
+
+    def _atom(self) -> Element:
+        kind, text, col = self._next()
+        if kind == "int":
+            return self.algebra.scalar(int(text))
+        if kind == "name":
+            if text == "q":
+                return self.algebra.scalar(Coeff.q())
+            if text == "h":
+                return self.algebra.scalar(Coeff.h())
+            if self.algebra.has_generator(text):
+                return self.algebra.gen_element(text)
+            raise UnknownName(
+                f"unknown name {text!r} in algebra {self.algebra.name!r}",
+                self.line,
+                col,
+            )
+        if kind == "op" and text == "(":
+            value = self._expr()
+            kind, text, col = self._next()
+            if not (kind == "op" and text == ")"):
+                self._error("expected ')'", col)
+            return value
+        self._error(f"unexpected {text!r}" if kind else "unexpected end of expression", col)
+
+    def _unit_scalar(self, e: Element, col) -> Coeff:
+        c = _as_scalar(e)
+        if c is None:
+            self._error("divisor/exponent base must be a scalar", col)
+        try:
+            c.try_inv()
+        except NotAUnit:
+            self._error(f"{c} is not a unit of the scalar ring", col)
+        return c
+
+
+def _as_scalar(e: Element):
+    """The Coeff value of a purely scalar element, else None."""
+    for w in e.terms:
+        if w:
+            return None
+    return e.coefficient(())
+
+
+def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
+                     col_base: int = 0) -> Element:
+    return _ExprParser(text, algebra if algebra is not None else _SCALARS,
+                       line, col_base).parse()
+
+
+def parse_scalar(text: str, line=None, col_base: int = 0) -> Coeff:
+    e = parse_expression(text, _SCALARS, line, col_base)
+    c = _as_scalar(e)
+    if c is None:  # pragma: no cover - the scalar algebra has no generators
+        raise ParseError("expected a scalar expression", line)
+    return c
+
+
+# -- script parsing ----------------------------------------------------------------
+
+
+class Node(NamedTuple):
+    kind: str
+    line: int
+    text: str
+    payload: dict
+
+
+def _strip_comment(line: str) -> str:
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+_SIMPLE_COMMANDS = {
+    "limit": 1,
+    "qybe": 1,
+    "confluence": 1,
+    "covariance": 0,
+    "inverse-check": 0,
+    "product-check": 0,
+    "verify-paper": 0,
+}
+
+
+def parse_script(text: str):
+    """Parse a script into definition and command nodes."""
+    lines = text.splitlines()
+    nodes = []
+    i = 0
+    while i < len(lines):
+        lineno = i + 1
+        raw = _strip_comment(lines[i]).strip()
+        i += 1
+        if not raw:
+            continue
+        words = raw.split()
+        head = words[0]
+        if head == "algebra":
+            if len(words) != 2:
+                raise ArityError("usage: algebra <name>", lineno)
+            body = []
+            closed = False
+            while i < len(lines):
+                inner_no = i + 1
+                inner = _strip_comment(lines[i]).strip()
+                i += 1
+                if inner == "end":
+                    closed = True
+                    break
+                if inner:
+                    body.append((inner_no, inner))
+            if not closed:
+                raise ParseError(f"algebra {words[1]!r} is missing 'end'", lineno)
+            nodes.append(Node("algebra", lineno, raw, {"name": words[1], "body": body}))
+        elif head == "contract":
+            if len(words) != 3:
+                raise ArityError("usage: contract <source> <target>", lineno)
+            body = []
+            closed = False
+            while i < len(lines):
+                inner_no = i + 1
+                inner = _strip_comment(lines[i]).strip()
+                i += 1
+                if inner == "end":
+                    closed = True
+                    break
+                if inner:
+                    body.append((inner_no, inner))
+            if not closed:
+                raise ParseError("contract block is missing 'end'", lineno)
+            nodes.append(
+                Node(
+                    "contract",
+                    lineno,
+                    raw,
+                    {"source": words[1], "target": words[2], "body": body},
+                )
+            )
+        elif head == "mat":
+            chunk = raw
+            while "[" not in chunk or chunk.count("[") > chunk.count("]"):
+                if i >= len(lines):
+                    raise ParseError("matrix literal is missing ']'", lineno)
+                chunk += " " + _strip_comment(lines[i]).strip()
+                i += 1
+            nodes.append(Node("mat", lineno, chunk, _parse_mat_header(chunk, lineno)))
+        elif head == "nf":
+            m = re.match(r'nf\s+(\S+)\s+"(.*)"\s*$', raw)
+            if m is None:
+                raise ArityError('usage: nf <algebra> "<expression>"', lineno)
+            nodes.append(
+                Node("nf", lineno, raw, {"algebra": m.group(1), "expr": m.group(2)})
+            )
+        elif head == "rtt":
+            rest = words[1:]
+            sign = -1
+            if rest and rest[-1].startswith("sign="):
+                value = rest[-1][5:]
+                if value not in ("+1", "-1", "1"):
+                    raise ParseError(f"bad sign {value!r}", lineno)
+                sign = 1 if value in ("+1", "1") else -1
+                rest = rest[:-1]
+            if len(rest) != 2:
+                raise ArityError("usage: rtt <rmatrix> <algebra> [sign=<+1|-1>]", lineno)
+            nodes.append(
+                Node("rtt", lineno, raw, {"rmatrix": rest[0], "algebra": rest[1], "sign": sign})
+            )
+        elif head in _SIMPLE_COMMANDS:
+            arity = _SIMPLE_COMMANDS[head]
+            if len(words) - 1 != arity:
+                raise ArityError(f"{head} takes {arity} argument(s)", lineno)
+            nodes.append(Node(head, lineno, raw, {"args": words[1:]}))
+        else:
+            raise ParseError(f"unknown statement {head!r}", lineno)
+    return nodes
+
+
+def _parse_mat_header(chunk: str, lineno: int) -> dict:
+    head, _bracket, entries = chunk.partition("[")
+    if not entries.rstrip().endswith("]"):
+        raise ParseError("matrix literal is missing ']'", lineno)
+    entries = entries.rstrip()[:-1]
+    words = head.split()
+    algebra = None
+    if len(words) == 5 and words[3] == "in":
+        algebra = words[4]
+        words = words[:3]
+    if len(words) != 3 or words[0] != "mat":
+        raise ArityError("usage: mat <name> <n> [in <algebra>] [ entries ]", lineno)
+    try:
+        n = int(words[2])
+    except ValueError:
+        raise ParseError(f"bad dimension {words[2]!r}", lineno) from None
+    return {"name": words[1], "n": n, "algebra": algebra, "entries": entries}

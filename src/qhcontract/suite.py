@@ -10,7 +10,7 @@ witness; it is a statement about the claim, not about the engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
 from .contract import limit_span, relation_span, span_equal
@@ -21,8 +21,7 @@ from . import grgroup
 _SEED = 20260810
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     ok: bool

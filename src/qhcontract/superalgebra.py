@@ -16,8 +16,9 @@ cross-family sign declarations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffring import Coeff, coeff
 
@@ -26,9 +27,12 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*'*\Z")
 
 Word = tuple  # tuple of generator ids
 
+# one tuple per relation word, shared by all algebras; relation words have
+# two letters, so this holds at most (number of generators)^2 entries
+_WORDS = {}
 
-@dataclass(frozen=True)
-class Generator:
+
+class Generator(NamedTuple):
     gid: int
     name: str
     parity: str  # "even" | "odd"
@@ -53,6 +57,7 @@ class AlgebraSpec:
                 raise ValueError(f"cross sign must be +1 or -1, got {sign}")
             self.cross_sign[frozenset(fams)] = sign
         self.relations = []
+        self._shared_coeffs = {}
         self._by_name = {}
         self._prec = [0] * len(self.generators)
         for i, g in enumerate(self.generators):
@@ -73,9 +78,13 @@ class AlgebraSpec:
 
     @classmethod
     def build(cls, name: str, gens, cross_sign=None) -> "AlgebraSpec":
-        """Construct from (name, parity, family, prec) tuples in declaration order."""
+        """Construct from (name, parity, family, prec) tuples in declaration order.
+
+        The strings are interned: a script may define many algebras that
+        reuse the same generator names, parities and families.
+        """
         generators = [
-            Generator(i, gname, parity, family, prec)
+            Generator(i, sys.intern(gname), sys.intern(parity), sys.intern(family), prec)
             for i, (gname, parity, family, prec) in enumerate(gens)
         ]
         return cls(name, generators, cross_sign)
@@ -151,7 +160,12 @@ class AlgebraSpec:
             raise ValueError("zero relation")
         if not elem.is_homogeneous(2):
             raise ValueError(f"relation {elem} is not homogeneous of degree 2")
-        self.relations.append(elem)
+        # relations live as long as their algebra, so they keep one shared
+        # object per distinct word and coefficient (both are immutable)
+        shared = self._shared_coeffs
+        self.relations.append(Element(self, {
+            _WORDS.setdefault(w, w): shared.setdefault(str(c), c) for w, c in elem.terms.items()
+        }))
 
     def __repr__(self) -> str:
         return f"AlgebraSpec({self.name!r}, {len(self.generators)} generators)"

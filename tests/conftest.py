@@ -1,12 +1,13 @@
 """Shared oracles and randomized-value helpers for the test suite."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from qhcontract.coeffring import Coeff, QHPoly
-from qhcontract.contract import _poly_rows, _rank
+from qhcontract.contract import RelationSpan
 from qhcontract.superalgebra import Element
 
 
@@ -87,14 +88,20 @@ def degree_component_span(spec, degree: int):
     return words, rows
 
 
+@functools.lru_cache(maxsize=None)
+def _ideal_component(spec, degree: int):
+    """The degree component's words, rows and rank, computed once per pair."""
+    words, rows = degree_component_span(spec, degree)
+    return words, rows, RelationSpan(spec, words, rows).rank()
+
+
 def in_ideal_component(spec, e: Element) -> bool:
     """Exact membership of a homogeneous element in the relation ideal."""
     deg = e.degree()
     assert e.is_homogeneous(deg)
-    words, rows = degree_component_span(spec, deg)
+    words, rows, base = _ideal_component(spec, deg)
     vec = [e.coefficient(w) for w in words]
-    base = _rank(_poly_rows(rows))
-    return _rank(_poly_rows(rows + [vec])) == base
+    return RelationSpan(spec, words, rows + [vec]).rank() == base
 
 
 @pytest.fixture(scope="session")

@@ -192,6 +192,14 @@ def test_confluence_degree_bound_env(monkeypatch):
     assert Runner().degree_bound == 4
 
 
+def test_bad_degree_bound_is_an_error_not_a_verdict(monkeypatch, capsys):
+    monkeypatch.setenv("QHCONTRACT_DEGREE_BOUND", "abc")
+    assert main(["verify-paper"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: QHCONTRACT_DEGREE_BOUND must be an integer, got 'abc'\n"
+
+
 def test_empty_script():
     verdicts, _ = run_script("")
     assert verdicts == [] and exit_code(verdicts) == 0

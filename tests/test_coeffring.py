@@ -110,3 +110,46 @@ def test_printing():
     assert str(Q - Q**-1) == "(q^2 - 1)/q"
     assert str(Coeff.zero()) == "0"
     assert str(Coeff.rational(Fraction(-3, 2)) * H) == "-3/2*h"
+
+
+def test_term_order_does_not_matter():
+    terms = {(2, 0): 3, (0, 1): Fraction(-1, 2), (1, 1): 1, (0, 0): -4}
+    a = QHPoly(terms)
+    b = QHPoly(dict(reversed(list(terms.items()))))
+    assert list(a.terms) != list(b.terms)
+    assert a == b
+    assert str(a) == str(b) == "3*q^2 + q*h - 1/2*h - 4"
+    assert a.leading() == b.leading() == ((2, 0), 3)
+    x, y = QHPoly({(1, 0): 1, (0, 1): 2}), QHPoly({(0, 0): 1, (1, 1): -1})
+    assert x * y == y * x and str(x * y) == str(y * x)
+    assert x + y == y + x and str(x + y) == str(y + x)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = QHPoly({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 1)]) is Fraction
+    half = QHPoly.const(Fraction(1, 2))
+    results = [
+        half + half,
+        half * QHPoly.const(2),
+        half.scaled(4),
+        QHPoly({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2)}).div_q1().scaled(2),
+        (QHPoly.q_minus_1().scaled(2)).exact_div(QHPoly.q_minus_1()),
+        QHPoly.const(3).exact_div(QHPoly.const(3)),
+        QHPoly({(1, 0): Fraction(3, 2), (0, 0): Fraction(1, 2)}).at_q1(),
+    ]
+    for r in results:
+        assert all(type(c) is int for c in r.terms.values()), r.terms
+    assert type(QHPoly.const(3).exact_div(QHPoly.const(2)).terms[(0, 0)]) is Fraction
+
+
+def test_rational_accessors_return_fractions():
+    assert type(QHPoly.const(3).constant()) is Fraction
+    assert QHPoly.const(3).constant() == 3
+    assert type(QHPoly.zero().constant()) is Fraction
+    assert type(QHPoly({(1, 0): 4, (0, 0): 6}).content()) is Fraction
+    assert QHPoly({(1, 0): 4, (0, 0): 6}).content() == 2
+    assert type(Coeff.rational(3).as_fraction()) is Fraction
+    assert type(Coeff.rational(Fraction(6, 3)).as_fraction()) is Fraction
+    assert (Coeff.rational(2) / Coeff.rational(4)).as_fraction() == Fraction(1, 2)

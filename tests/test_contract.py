@@ -4,6 +4,7 @@ from qhcontract.coeffring import Coeff
 from qhcontract.contract import (
     DegreeError,
     MissingImage,
+    RelationSpan,
     Substitution,
     apply_subst,
     limit_span,
@@ -204,3 +205,19 @@ def test_limit_span_of_q_free_span_is_identity_on_rows():
     sp = relation_span(grh.relations, grh)
     lim = limit_span(sp)
     assert span_equal(lim, sp)
+
+
+def test_kept_ranks_match_fresh_spans():
+    # a span keeps its rank, and limit_span hands its last elimination's rank
+    # to the span it returns; a span rebuilt from the same rows must agree
+    cases = [
+        (plane_substitution(q_plane(), h_plane()), 1),
+        (dual_plane_substitution(q_dual_plane(), h_dual_plane()), 3),
+        (q_to_h_substitution(gr_q2(), gr_h2()), 10),
+    ]
+    for s, rank in cases:
+        sp = relation_span([s.apply(r) for r in s.source.relations], s.target)
+        lim = limit_span(sp)
+        assert sp.rank() == lim.rank() == rank
+        assert RelationSpan(sp.algebra, sp.basis, sp.rows).rank() == rank
+        assert RelationSpan(lim.algebra, lim.basis, lim.rows).rank() == rank
