@@ -15,10 +15,7 @@ from .superalgebra import AlgebraSpec, Element, Generator
 from .rewrite import (
     OrientationFailure,
     OverlapWitness,
-    RewriteRule,
     RuleSystem,
-    check_confluence,
-    normal_form,
     orient,
 )
 from .matalg import (
@@ -27,19 +24,18 @@ from .matalg import (
     ScalMat,
     embed1,
     embed2,
-    limit_mat,
     qybe_residual,
     rtt_residual,
-    scale_mat,
     similarity,
 )
 from .contract import (
+    Contraction,
     DegreeError,
     MissingImage,
     RankDrop,
     RelationSpan,
     Substitution,
-    apply_subst,
+    contract_relations,
     limit_span,
     relation_span,
     span_equal,
@@ -52,6 +48,7 @@ __all__ = [
     "AlgMat",
     "AlgebraSpec",
     "Coeff",
+    "Contraction",
     "DegreeError",
     "Element",
     "Generator",
@@ -65,24 +62,19 @@ __all__ = [
     "QHPoly",
     "RankDrop",
     "RelationSpan",
-    "RewriteRule",
     "RuleSystem",
     "ScalMat",
     "Substitution",
-    "apply_subst",
-    "check_confluence",
     "coeff",
+    "contract_relations",
     "embed1",
     "embed2",
     "grgroup",
-    "limit_mat",
     "limit_span",
-    "normal_form",
     "orient",
     "qybe_residual",
     "relation_span",
     "rtt_residual",
-    "scale_mat",
     "similarity",
     "span_equal",
 ]

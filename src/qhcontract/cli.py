@@ -4,8 +4,13 @@ Scripts are parsed by :mod:`qhcontract.script` (commands: nf, limit, qybe,
 rtt, contract, covariance, inverse-check, product-check, confluence,
 verify-paper).  Every command produces one or more verdicts; the process
 exits 0 when all verdicts are verified, 1 when any is falsified, and 2 on
-error.  Output is deterministic: identical scripts produce byte-identical
-reports.
+error.  Any failure that is not a verdict, whatever its type, is reported
+as ``error: ...`` on stderr and also exits 2 (an unexpected exception is a
+bug in the checker and prints its traceback first), so exit 1 always
+means a falsified claim.  A ``contract`` block renders the
+:class:`~qhcontract.contract.Contraction` that
+:func:`~qhcontract.contract.contract_relations` returns, as the suite does.
+Output is deterministic: identical scripts produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -13,18 +18,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from typing import NamedTuple
 
 from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
-from .contract import (
-    MissingImage,
-    Substitution,
-    limit_span,
-    relation_span,
-    span_equal,
-)
-from .matalg import AlgMat, NotInvertible, ScalMat, limit_mat, qybe_residual, rtt_residual
+from .contract import MissingImage, Substitution, contract_relations, relation_span, span_equal
+from .matalg import AlgMat, NotInvertible, ScalMat, qybe_residual, rtt_residual
 from .rewrite import OrientationFailure, orient
 from .script import (  # parse_scalar is re-exported with the rest of the grammar
     ArityError,
@@ -213,7 +213,7 @@ class Runner:
         if not isinstance(mat, ScalMat):
             raise ParseError("limit expects a scalar matrix", node.line)
         try:
-            lim = limit_mat(mat)
+            lim = mat.limit_q1()
         except PoleAtQ1 as exc:
             return [Verdict(node.text, "falsified", witness=str(exc))]
         return [Verdict(node.text, "verified", details=tuple(str(lim).splitlines()))]
@@ -225,7 +225,7 @@ class Runner:
         res = qybe_residual(mat)
         if res.is_zero():
             return [Verdict(node.text, "verified")]
-        entries = res.entries_str(nonzero_only=True)
+        entries = res.entries_str()
         return [
             Verdict(
                 node.text,
@@ -263,19 +263,14 @@ class Runner:
             images[source.generator_named(gen_name).gid] = parse_expression(
                 expr_text.strip(), target, lineno
             )
-        missing = [g.name for g in source.generators if g.gid not in images]
-        if missing:
-            raise MissingImage(", ".join(missing))
-        sub = Substitution(source, target, images)
-        span = relation_span([sub.apply(r) for r in source.relations], target)
-        lim = limit_span(span)
-        goal = relation_span(target.relations, target)
+        c = contract_relations(Substitution(source, target, images))
         details = ["limiting relations:"]
-        details += [f"  {e}" for e in lim.to_elements()]
+        details += [f"  {e}" for e in c.limit.to_elements()]
         details.append(
-            f"ranks: substituted {span.rank()}, limit {lim.rank()}, target {goal.rank()}"
+            f"ranks: substituted {c.substituted.rank()}, limit {c.limit.rank()}, "
+            f"target {c.target.rank()}"
         )
-        if span_equal(lim, goal):
+        if c.ok:
             return [Verdict(node.text, "verified", details=tuple(details))]
         return [
             Verdict(
@@ -418,24 +413,15 @@ def _load_definitions(path: str, runner: Runner):
     return nodes
 
 
-def _algebra_from(name_or_file: str, runner: Runner) -> str:
-    if os.path.exists(name_or_file):
-        nodes = _load_definitions(name_or_file, runner)
-        algebras = [n.payload["name"] for n in nodes if n.kind == "algebra"]
-        if len(algebras) != 1:
-            raise ParseError(f"{name_or_file} must define exactly one algebra")
-        return algebras[0]
-    return name_or_file
-
-
-def _matrix_from(name_or_file: str, runner: Runner) -> str:
-    if os.path.exists(name_or_file):
-        nodes = _load_definitions(name_or_file, runner)
-        mats = [n.payload["name"] for n in nodes if n.kind == "mat"]
-        if len(mats) != 1:
-            raise ParseError(f"{name_or_file} must define exactly one matrix")
-        return mats[0]
-    return name_or_file
+def _defined_name(name_or_file: str, runner: Runner, kind: str, noun: str) -> str:
+    """The name itself, or that of the one ``kind`` node a definitions file holds."""
+    if not os.path.exists(name_or_file):
+        return name_or_file
+    nodes = _load_definitions(name_or_file, runner)
+    names = [n.payload["name"] for n in nodes if n.kind == kind]
+    if len(names) != 1:
+        raise ParseError(f"{name_or_file} must define exactly one {noun}")
+    return names[0]
 
 
 def main(argv=None) -> int:
@@ -473,17 +459,21 @@ def main(argv=None) -> int:
         elif args.command == "verify-paper":
             verdicts = runner.run([Node("verify-paper", 0, "verify-paper", {"args": []})])
         elif args.command == "nf":
-            name = _algebra_from(args.algebra, runner)
+            name = _defined_name(args.algebra, runner, "algebra", "algebra")
             expr = args.expr.replace('"', "")
             node = Node("nf", 0, f'nf {name} "{expr}"', {"algebra": name, "expr": expr})
             verdicts = runner.run([node])
         elif args.command == "qybe":
-            name = _matrix_from(args.rmatrix, runner)
+            name = _defined_name(args.rmatrix, runner, "mat", "matrix")
             verdicts = runner.run([Node("qybe", 0, f"qybe {name}", {"args": [name]})])
         else:  # pragma: no cover
             parser.error("unknown command")
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug in the checker, not a verdict: never exit 1
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     report(verdicts, args.porcelain)
     return exit_code(verdicts)

@@ -322,11 +322,6 @@ def _q1_power(k: int) -> QHPoly:
     return _Q1_POWERS[k]
 
 
-def exact_div(a: QHPoly, b: QHPoly) -> QHPoly:
-    """Module-level alias for :meth:`QHPoly.exact_div`."""
-    return a.exact_div(b)
-
-
 class Coeff:
     """num / (q^qpow (q-1)^q1pow) in fully cancelled form.
 
@@ -479,9 +474,6 @@ class Coeff:
             p = d
         return Coeff(p.at_q1())
 
-    def is_rational(self) -> bool:
-        return self.qpow == 0 and self.q1pow == 0 and self.num.is_constant()
-
     def as_fraction(self) -> Fraction:
         if self.qpow or self.q1pow or not self.num.is_constant():
             raise ValueError(f"{self} is not a rational constant")
@@ -510,23 +502,3 @@ def coeff(x) -> Coeff:
     if isinstance(x, (int, Fraction)):
         return Coeff.rational(x)
     raise TypeError(f"cannot use {type(x).__name__} as a scalar")
-
-
-def add(a: Coeff, b: Coeff) -> Coeff:
-    return a + b
-
-
-def mul(a: Coeff, b: Coeff) -> Coeff:
-    return a * b
-
-
-def neg(a: Coeff) -> Coeff:
-    return -a
-
-
-def try_inv(a: Coeff) -> Coeff:
-    return a.try_inv()
-
-
-def limit_q1(a: Coeff) -> Coeff:
-    return a.limit_q1()

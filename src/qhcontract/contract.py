@@ -9,6 +9,14 @@ evaluate at q = 1, and while the rank drops, replace one row by a
 vanishing combination divided by (q-1).  Each replacement strictly lowers
 the (q-1)-valuation of the row wedge, so the loop terminates.
 
+:func:`contract_relations` is the whole pipeline, and the only place that
+chains its steps: apply an invertible :class:`Substitution` to the source
+relations, take the :func:`limit_span` of their :func:`relation_span` and
+compare it with the target relations by :func:`span_equal`.  The suite
+and the script ``contract`` command only render its :class:`Contraction`.
+:func:`extend` is the homomorphic extension of any generator map, also of
+one with images of higher degree.
+
 All linear algebra here is fraction-free over Q[q,h] and goes through one
 Bareiss routine, ``_bareiss``, which returns the rank and, on request, one
 left-kernel vector from the same elimination.  Rows of localized scalars
@@ -24,13 +32,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
+from .matalg import NotInvertible, ScalMat
 from .superalgebra import AlgebraSpec, Element
 
 
 class MissingImage(KeyError):
-    """A generator without an image was hit during substitution."""
+    """A substitution was given no image for some source generators."""
 
 
 class DegreeError(ValueError):
@@ -42,13 +52,20 @@ class RankDrop(Exception):
 
 
 class Substitution:
-    """Linear change of generators, extended homomorphically to words."""
+    """Invertible linear change of generators, extended homomorphically to words.
 
-    def __init__(self, source: AlgebraSpec, target: AlgebraSpec, images,
-                 check_invertible: bool = True):
+    ``images`` maps every source generator id to a nonzero degree-1 element
+    of the target algebra; the constructor rejects a partial map
+    (:class:`MissingImage`) and a map that is not invertible over the scalars.
+    """
+
+    def __init__(self, source: AlgebraSpec, target: AlgebraSpec, images):
         self.source = source
         self.target = target
         self.images = dict(images)
+        missing = [g.name for g in source.generators if g.gid not in self.images]
+        if missing:
+            raise MissingImage(", ".join(missing))
         for gid, img in self.images.items():
             if not isinstance(img, Element) or img.algebra is not target:
                 raise ValueError("images must be elements of the target algebra")
@@ -56,59 +73,48 @@ class Substitution:
                 raise ValueError(
                     f"image of {source.generator(gid).name} must be homogeneous of degree 1"
                 )
-        if check_invertible:
-            if len(self.images) != len(source.generators) or len(
-                source.generators
-            ) != len(target.generators):
-                raise ValueError("invertibility requires a total map between "
-                                 "algebras of equal rank")
-            from .matalg import NotInvertible
-            try:
-                self.matrix().inverse()
-            except NotInvertible:
-                raise ValueError("substitution is not invertible over the scalars")
+        n = len(source.generators)
+        if len(self.images) != n or len(target.generators) != n:
+            raise ValueError("invertibility requires a total map between "
+                             "algebras of equal rank")
+        try:
+            self.matrix().inverse()
+        except NotInvertible:
+            raise ValueError("substitution is not invertible over the scalars")
 
     @classmethod
-    def by_name(cls, source: AlgebraSpec, target: AlgebraSpec, images,
-                check_invertible: bool = True) -> "Substitution":
+    def by_name(cls, source: AlgebraSpec, target: AlgebraSpec, images) -> "Substitution":
         """Images keyed by source generator name."""
         return cls(
             source,
             target,
             {source.generator_named(n).gid: img for n, img in images.items()},
-            check_invertible,
         )
 
     def matrix(self):
         """Coefficient matrix of the induced map on the degree-1 space."""
-        from .matalg import ScalMat
         n = len(self.source.generators)
-        rows = []
-        for i in range(n):
-            img = self.images.get(i)
-            if img is None:
-                raise MissingImage(self.source.generator(i).name)
-            rows.append([img.coefficient((j,)) for j in range(n)])
-        return ScalMat(rows)
+        return ScalMat([[self.images[i].coefficient((j,)) for j in range(n)]
+                        for i in range(n)])
 
     def apply(self, e: Element) -> Element:
         """Homomorphic extension: words map to free products of images."""
         if e.algebra is not self.source:
             raise ValueError("element does not belong to the source algebra")
-        out = self.target.zero()
-        for w, c in e.terms.items():
-            acc = self.target.scalar(c)
-            for gid in w:
-                img = self.images.get(gid)
-                if img is None:
-                    raise MissingImage(self.source.generator(gid).name)
-                acc = acc.free_mul(img)
-            out = out + acc
-        return out
+        return extend(e, self.target, self.images)
 
 
-def apply_subst(e: Element, s: Substitution) -> Element:
-    return s.apply(e)
+def extend(e: Element, target: AlgebraSpec, images) -> Element:
+    """Image of ``e`` in ``target`` when each generator id ``g`` maps to
+    ``images[g]``: every word becomes the free product of its letters' images.
+    """
+    out = target.zero()
+    for w, c in e.terms.items():
+        acc = target.scalar(c)
+        for gid in w:
+            acc = acc.free_mul(images[gid])
+        out = out + acc
+    return out
 
 
 class RelationSpan:
@@ -215,6 +221,24 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
         else:
             rows[target] = _primitive(v)
     raise RankDrop("subspace limit did not stabilize")  # pragma: no cover
+
+
+class Contraction(NamedTuple):
+    """The spans of one contraction and whether the limit hits the target."""
+
+    substituted: RelationSpan
+    limit: RelationSpan
+    target: RelationSpan
+    ok: bool
+
+
+def contract_relations(sub: Substitution) -> Contraction:
+    """Substitute the source relations, take the span's limit at q = 1 and
+    compare it with the span of the target algebra's relations."""
+    substituted = relation_span(map(sub.apply, sub.source.relations), sub.target)
+    limit = limit_span(substituted)
+    target = relation_span(sub.target.relations, sub.target)
+    return Contraction(substituted, limit, target, span_equal(limit, target))
 
 
 # -- fraction-free helpers ----------------------------------------------------

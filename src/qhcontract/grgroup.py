@@ -4,7 +4,9 @@ This module holds the concrete objects: the q- and h-planes and their
 duals, the q- and h-deformed Grassmann matrix algebras, the change-of-basis
 matrix g and both R-matrices, the covariance derivation of the h-relations,
 the one-sided inverses with their determinants, and the product theorem for
-two anticommuting generator matrices.
+two anticommuting generator matrices.  The covariance derivation pushes
+relations through degree-2 images with :func:`~qhcontract.contract.extend`,
+the homomorphic extension behind every ``Substitution``.
 
 Generator precedences are part of each presentation and were chosen so that
 every relation set orients with unit leading coefficients (orientation
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coeffring import Coeff
-from .contract import RelationSpan, Substitution, relation_span
+from .contract import RelationSpan, Substitution, extend, relation_span
 from .matalg import AlgMat, ScalMat
 from .rewrite import orient
 from .superalgebra import AlgebraSpec, Element
@@ -328,8 +330,8 @@ def _remap(e: Element, into: AlgebraSpec) -> Element:
 
 
 def covariance_relations(problem: CovarianceProblem, into=None):
-    """Entry relations forced by requiring transformed points to satisfy the
-    target plane's relations.
+    """Entry relations forced by requiring the images of points under the
+    transformation to satisfy the target plane's relations.
 
     Each target relation is substituted, the entries are pushed left of the
     coordinates with the declared sign, the coordinate factors are reduced to
@@ -355,20 +357,11 @@ def covariance_relations(problem: CovarianceProblem, into=None):
             img = img + problem.transformation.rows[i][j].free_mul(coord)
         images[tg.gid] = img
 
-    def transformed(rel):
-        # homomorphic image of a target relation; images have degree 2
-        out = problem.combined.zero()
-        for w, c in rel.terms.items():
-            acc = problem.combined.scalar(c)
-            for gid in w:
-                acc = acc.free_mul(images[gid])
-            out = out + acc
-        return out
-
     entry_gids = {g.gid for g in problem.combined.generators if g.family == "entry"}
     out = []
     for rel in problem.target.relations:
-        reduced = rs.normal_form(transformed(rel))
+        # the images have degree 2, which a Substitution rejects
+        reduced = rs.normal_form(extend(rel, problem.combined, images))
         buckets = {}
         for w, c in reduced.terms.items():
             if len(w) != 4 or w[0] not in entry_gids or w[1] not in entry_gids:
@@ -472,10 +465,6 @@ def inverse_check(grh=None, rs=None, h=None) -> InverseReport:
         ],
     ).normal_form(rs)
     return InverseReport(left_res, right_res, exch)
-
-
-def verify_det_identity(grh=None, rs=None, h=None) -> bool:
-    return inverse_check(grh, rs, h).exchange_ok
 
 
 # -- product theorem ----------------------------------------------------------------

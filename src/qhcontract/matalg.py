@@ -161,14 +161,14 @@ class ScalMat:
                     aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
         return ScalMat([row[n:] for row in aug])
 
-    def entries_str(self, nonzero_only: bool = False):
-        out = []
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if nonzero_only and c.is_zero():
-                    continue
-                out.append(f"({i + 1},{j + 1}): {c}")
-        return out
+    def entries_str(self):
+        """The nonzero entries as ``(i,j): value`` strings, row by row."""
+        return [
+            f"({i + 1},{j + 1}): {c}"
+            for i, row in enumerate(self.rows)
+            for j, c in enumerate(row)
+            if not c.is_zero()
+        ]
 
     def __str__(self) -> str:
         cells = [[str(c) for c in row] for row in self.rows]
@@ -187,14 +187,6 @@ def similarity(gg: ScalMat, r: ScalMat) -> ScalMat:
     return gg.inverse() * r * gg
 
 
-def limit_mat(r: ScalMat) -> ScalMat:
-    return r.limit_q1()
-
-
-def scale_mat(c, r: ScalMat) -> ScalMat:
-    return r.scale(c)
-
-
 def qybe_residual(r: ScalMat) -> ScalMat:
     """R12 R13 R23 - R23 R13 R12 on the triple tensor product.
 
@@ -204,19 +196,15 @@ def qybe_residual(r: ScalMat) -> ScalMat:
     if r.n != 4:
         raise ValueError("QYBE check needs a 4x4 matrix")
     zero, one = Coeff.zero(), Coeff.one()
-
-    def entry(mat, i, k):
-        return mat.rows[i][k]
-
     idx3 = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
     r12 = ScalMat.zero(8).rows
     r13 = ScalMat.zero(8).rows
     r23 = ScalMat.zero(8).rows
     for a, (i, j, k) in enumerate(idx3):
         for b, (l, m, n) in enumerate(idx3):
-            r12[a][b] = entry(r, 2 * i + j, 2 * l + m) * (one if k == n else zero)
-            r13[a][b] = entry(r, 2 * i + k, 2 * l + n) * (one if j == m else zero)
-            r23[a][b] = (one if i == l else zero) * entry(r, 2 * j + k, 2 * m + n)
+            r12[a][b] = r.rows[2 * i + j][2 * l + m] * (one if k == n else zero)
+            r13[a][b] = r.rows[2 * i + k][2 * l + n] * (one if j == m else zero)
+            r23[a][b] = (one if i == l else zero) * r.rows[2 * j + k][2 * m + n]
     m12, m13, m23 = ScalMat(r12), ScalMat(r13), ScalMat(r23)
     return m12 * m13 * m23 - m23 * m13 * m12
 
@@ -322,35 +310,9 @@ class AlgMat:
         return f"AlgMat({self.algebra.name}, {self.n}x{self.n})"
 
 
-def scal_alg_mul(r: ScalMat, a: AlgMat) -> AlgMat:
-    """Product of a scalar matrix with an algebra matrix (scalars are central)."""
-    if r.n != a.n:
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(r.n):
-        row = []
-        for j in range(r.n):
-            s = a.algebra.zero()
-            for k in range(r.n):
-                s = s + a.rows[k][j].scale(r.rows[i][k])
-            row.append(s)
-        out.append(row)
-    return AlgMat(a.algebra, out)
-
-
-def alg_scal_mul(a: AlgMat, r: ScalMat) -> AlgMat:
-    if r.n != a.n:
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(r.n):
-        row = []
-        for j in range(r.n):
-            s = a.algebra.zero()
-            for k in range(r.n):
-                s = s + a.rows[i][k].scale(r.rows[k][j])
-            row.append(s)
-        out.append(row)
-    return AlgMat(a.algebra, out)
+def _lift(r: ScalMat, algebra: AlgebraSpec) -> AlgMat:
+    """The scalar matrix ``r`` as a matrix of scalars of ``algebra``."""
+    return AlgMat(algebra, [[algebra.scalar(c) for c in row] for row in r.rows])
 
 
 def embed1(a: AlgMat) -> AlgMat:
@@ -394,6 +356,7 @@ def rtt_residual(r: ScalMat, a: AlgMat, rs, sign: int = -1) -> AlgMat:
         raise ValueError("sign must be +1 or -1")
     a1 = embed1(a)
     a2 = embed2(a)
-    lhs = scal_alg_mul(r, a1.mat_mul(a2))
-    rhs = alg_scal_mul(a2.mat_mul(a1), r).scale(sign)
+    lifted = _lift(r, a.algebra)
+    lhs = lifted.mat_mul(a1.mat_mul(a2))
+    rhs = a2.mat_mul(a1).mat_mul(lifted).scale(sign)
     return (lhs - rhs).normal_form(rs)

@@ -26,11 +26,6 @@ class OrientationFailure(Exception):
     """The relation set cannot be turned into a terminating rule system."""
 
 
-class RewriteRule(NamedTuple):
-    lhs: tuple
-    rhs: Element
-
-
 class OverlapWitness(NamedTuple):
     word: tuple
     nf_a: Element
@@ -47,10 +42,6 @@ class RuleSystem:
     def __init__(self, ambient: AlgebraSpec, rules):
         self.ambient = ambient
         self.rules = dict(rules)
-
-    def rule_list(self):
-        key = self.ambient.word_key
-        return [RewriteRule(w, self.rules[w]) for w in sorted(self.rules, key=key)]
 
     def degree2_normal_words(self):
         return [w for w in self.ambient.degree2_words() if w not in self.rules]
@@ -212,11 +203,3 @@ def orient(spec: AlgebraSpec) -> RuleSystem:
         if not system.normal_form(r).is_zero():
             raise OrientationFailure(f"declared relation {r} does not reduce to 0")
     return system
-
-
-def normal_form(e: Element, rs: RuleSystem) -> Element:
-    return rs.normal_form(e)
-
-
-def check_confluence(rs: RuleSystem, degree_bound: int = 4):
-    return rs.check_confluence(degree_bound)

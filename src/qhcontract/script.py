@@ -9,7 +9,9 @@ Expression grammar: integers, rational literals with ``/``, the symbols
 ``q`` and ``h``, generator names (primes allowed as a trailing ``'``),
 ``+ - * ^`` and parentheses.  Negative exponents and division are allowed
 when the divisor is a unit of the localized scalar ring, i.e. a product of
-rationals and powers of q and (q-1).
+rationals and powers of q and (q-1).  Parentheses and unary minus signs
+nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError`` with
+its line and column, not a crash of the recursive-descent parser.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# deepest nesting of parentheses and unary minus signs, counted together;
+# each level costs the recursive-descent parser a few Python stack frames
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent parser evaluating directly to an Element."""
 
@@ -66,6 +73,7 @@ class _ExprParser:
                 self.tokens.append((m.lastgroup, m.group(), col_base + pos + 1))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", None)
@@ -77,6 +85,11 @@ class _ExprParser:
 
     def _error(self, message, col=None):
         raise ParseError(message, self.line, col)
+
+    def _nest(self, col) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self._error(f"expression nested deeper than {MAX_NESTING} levels", col)
 
     def parse(self) -> Element:
         if not self.tokens:
@@ -113,10 +126,13 @@ class _ExprParser:
                 return value
 
     def _factor(self) -> Element:
-        kind, text, _col = self._peek()
+        kind, text, col = self._peek()
         if kind == "op" and text == "-":
             self._next()
-            return -self._factor()
+            self._nest(col)
+            value = -self._factor()
+            self.depth -= 1
+            return value
         return self._primary()
 
     def _primary(self) -> Element:
@@ -161,10 +177,12 @@ class _ExprParser:
                 col,
             )
         if kind == "op" and text == "(":
+            self._nest(col)
             value = self._expr()
             kind, text, col = self._next()
             if not (kind == "op" and text == ")"):
                 self._error("expected ')'", col)
+            self.depth -= 1
             return value
         self._error(f"unexpected {text!r}" if kind else "unexpected end of expression", col)
 
@@ -250,36 +268,12 @@ def parse_script(text: str):
         if head == "algebra":
             if len(words) != 2:
                 raise ArityError("usage: algebra <name>", lineno)
-            body = []
-            closed = False
-            while i < len(lines):
-                inner_no = i + 1
-                inner = _strip_comment(lines[i]).strip()
-                i += 1
-                if inner == "end":
-                    closed = True
-                    break
-                if inner:
-                    body.append((inner_no, inner))
-            if not closed:
-                raise ParseError(f"algebra {words[1]!r} is missing 'end'", lineno)
+            body, i = _block(lines, i, f"algebra {words[1]!r} is missing 'end'", lineno)
             nodes.append(Node("algebra", lineno, raw, {"name": words[1], "body": body}))
         elif head == "contract":
             if len(words) != 3:
                 raise ArityError("usage: contract <source> <target>", lineno)
-            body = []
-            closed = False
-            while i < len(lines):
-                inner_no = i + 1
-                inner = _strip_comment(lines[i]).strip()
-                i += 1
-                if inner == "end":
-                    closed = True
-                    break
-                if inner:
-                    body.append((inner_no, inner))
-            if not closed:
-                raise ParseError("contract block is missing 'end'", lineno)
+            body, i = _block(lines, i, "contract block is missing 'end'", lineno)
             nodes.append(
                 Node(
                     "contract",
@@ -325,6 +319,19 @@ def parse_script(text: str):
         else:
             raise ParseError(f"unknown statement {head!r}", lineno)
     return nodes
+
+
+def _block(lines, i: int, unclosed: str, lineno: int):
+    """The numbered non-blank lines from index ``i`` up to ``end``, and the
+    index after it; a block without ``end`` raises ``unclosed``."""
+    body = []
+    for j in range(i, len(lines)):
+        inner = _strip_comment(lines[j]).strip()
+        if inner == "end":
+            return body, j + 1
+        if inner:
+            body.append((j + 1, inner))
+    raise ParseError(unclosed, lineno)
 
 
 def _parse_mat_header(chunk: str, lineno: int) -> dict:

@@ -13,8 +13,8 @@ import random
 from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
-from .contract import limit_span, relation_span, span_equal
-from .matalg import ScalMat, limit_mat, qybe_residual, rtt_residual, scale_mat, similarity
+from .contract import contract_relations, relation_span, span_equal
+from .matalg import ScalMat, qybe_residual, rtt_residual, similarity
 from .rewrite import orient
 from . import grgroup
 
@@ -31,49 +31,38 @@ class CheckResult(NamedTuple):
 
 def check_plane_contraction() -> CheckResult:
     qp, hp = grgroup.q_plane(), grgroup.h_plane()
-    sub = grgroup.plane_substitution(qp, hp)
-    sp = limit_span(relation_span([sub.apply(r) for r in qp.relations], hp))
-    target = relation_span(hp.relations, hp)
-    ok = span_equal(sp, target)
+    c = contract_relations(grgroup.plane_substitution(qp, hp))
     return CheckResult(
         1,
         "plane contraction reproduces the h-plane relation",
-        ok,
-        None if ok else f"limit span rank {sp.rank()} differs from target",
-        tuple(str(e) for e in sp.to_elements()),
+        c.ok,
+        None if c.ok else f"limit span rank {c.limit.rank()} differs from target",
+        tuple(str(e) for e in c.limit.to_elements()),
     )
 
 
 def check_dual_plane_contraction() -> CheckResult:
     qdp, hdp = grgroup.q_dual_plane(), grgroup.h_dual_plane()
-    sub = grgroup.dual_plane_substitution(qdp, hdp)
-    sp = limit_span(relation_span([sub.apply(r) for r in qdp.relations], hdp))
-    target = relation_span(hdp.relations, hdp)
-    ok = span_equal(sp, target)
+    c = contract_relations(grgroup.dual_plane_substitution(qdp, hdp))
     return CheckResult(
         2,
         "dual plane contraction reproduces the h-dual relations",
-        ok,
-        None if ok else "limit span differs from the h-dual span",
-        tuple(str(e) for e in sp.to_elements()),
+        c.ok,
+        None if c.ok else "limit span differs from the h-dual span",
+        tuple(str(e) for e in c.limit.to_elements()),
     )
 
 
 def check_relation_contraction() -> CheckResult:
     grq, grh = grgroup.gr_q2(), grgroup.gr_h2()
-    sub = grgroup.q_to_h_substitution(grq, grh)
-    sp = relation_span([sub.apply(r) for r in grq.relations], grh)
-    lim = limit_span(sp)
-    target = relation_span(grh.relations, grh)
-    ok = sp.rank() == 10 and lim.rank() == 10 and target.rank() == 10
-    ok = ok and span_equal(lim, target)
+    c = contract_relations(grgroup.q_to_h_substitution(grq, grh))
+    ranks = (c.substituted.rank(), c.limit.rank(), c.target.rank())
+    ok = c.ok and ranks == (10, 10, 10)
     return CheckResult(
         3,
         "substituted q-relations contract onto the h-relations (rank 10)",
         ok,
-        None
-        if ok
-        else f"ranks: substituted {sp.rank()}, limit {lim.rank()}, target {target.rank()}",
+        None if ok else "ranks: substituted {}, limit {}, target {}".format(*ranks),
     )
 
 
@@ -104,9 +93,8 @@ def check_q_rtt() -> CheckResult:
 
 def check_r_matrix_contraction() -> CheckResult:
     gg = grgroup.g_matrix().kron(grgroup.g_matrix())
-    contracted = scale_mat(
-        Coeff.rational(1) / Coeff.rational(2),
-        limit_mat(similarity(gg, grgroup.rq_matrix())),
+    contracted = similarity(gg, grgroup.rq_matrix()).limit_q1().scale(
+        Coeff.rational(1) / Coeff.rational(2)
     )
     ok = contracted == grgroup.rh_matrix()
     return CheckResult(
@@ -138,20 +126,20 @@ def check_qybe() -> CheckResult:
     if res_q.is_zero():
         witness = "R_q unexpectedly satisfies the Yang-Baxter equation"
     elif not res_h.is_zero():
-        witness = "R_h residual " + res_h.entries_str(nonzero_only=True)[0]
+        witness = "R_h residual " + res_h.entries_str()[0]
     return CheckResult(
         8,
         "R_q violates the Yang-Baxter equation, R_h satisfies it",
         ok,
         witness,
-        (f"R_q residual sample: {res_q.entries_str(nonzero_only=True)[0]}",)
+        (f"R_q residual sample: {res_q.entries_str()[0]}",)
         if not res_q.is_zero()
         else (),
     )
 
 
 def check_rq_limit() -> CheckResult:
-    ok = limit_mat(grgroup.rq_matrix()) == ScalMat.identity(4).scale(2)
+    ok = grgroup.rq_matrix().limit_q1() == ScalMat.identity(4).scale(2)
     return CheckResult(9, "R_q tends to twice the identity at q = 1", ok)
 
 

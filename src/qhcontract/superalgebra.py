@@ -308,15 +308,3 @@ def _term_str(algebra: AlgebraSpec, word: Word, c: Coeff) -> str:
     if len(c.num.terms) > 1 and not (c.qpow or c.q1pow):
         cs = f"({cs})"
     return f"{cs}*{ws}"
-
-
-def free_mul(a: Element, b: Element) -> Element:
-    return a.free_mul(b)
-
-
-def add(a: Element, b: Element) -> Element:
-    return a + b
-
-
-def scale(c, a: Element) -> Element:
-    return a.scale(c)

@@ -14,7 +14,7 @@ from qhcontract.cli import (
     parse_script,
     report,
 )
-from qhcontract.grgroup import gr_h2, gr_q2
+from qhcontract.grgroup import gr_h2, gr_q2, h_plane
 from qhcontract.matalg import ScalMat
 
 from conftest import random_coeff, random_element
@@ -260,6 +260,39 @@ def test_main_run_exit_codes(tmp_path, capsys):
     broken = tmp_path / "broken.qh"
     broken.write_text("qybe\n", encoding="utf-8")
     assert main(["run", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"])
+def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys, expr):
+    script = tmp_path / "deep.qh"
+    script.write_text(f'nf hplane "{expr}"\n', encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    out = capsys.readouterr().out
+    assert "witness: line 1, column 101: expression nested deeper than 100 levels" in out
+
+
+def test_nesting_bound_counts_parentheses_and_minus_signs():
+    hp = h_plane()
+    x = hp.gen_element("x")
+    assert parse_expression("(" * 100 + "x" + ")" * 100, hp) == x
+    assert parse_expression("-(" * 50 + "x" + ")" * 50, hp) == x
+    for text in ("(" * 101 + "x" + ")" * 101, "-(" * 50 + "-x" + ")" * 50):
+        with pytest.raises(ParseError, match="line 7, column 101: expression nested"):
+            parse_expression(text, hp, line=7)
+
+
+def test_unexpected_exception_exits_2(monkeypatch, tmp_path, capsys):
+    def boom(self, nodes):
+        raise RuntimeError("engine failure")
+
+    monkeypatch.setattr(Runner, "run", boom)
+    script = tmp_path / "any.qh"
+    script.write_text("qybe builtin:Rq\n", encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\nerror: RuntimeError: engine failure\n")
 
 
 def test_main_nf_with_definitions_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from qhcontract.contract import (
     MissingImage,
     RelationSpan,
     Substitution,
-    apply_subst,
+    contract_relations,
     limit_span,
     relation_span,
     span_equal,
@@ -35,7 +35,7 @@ def test_apply_subst_hand_expansion():
     s = q_to_h_substitution(grq, grh)
     g_, d_ = grq.gen_elements("gamma' delta'")
     c, d = grh.gen_elements("gamma delta")
-    got = apply_subst(g_ * d_ + Q**-1 * (d_ * g_), s)
+    got = s.apply(g_ * d_ + Q**-1 * (d_ * g_))
     expected = c * d + Q**-1 * (d * c) - F * (c * c) - Q**-1 * F * (c * c)
     assert got == expected
 
@@ -46,7 +46,7 @@ def test_apply_subst_identity():
         grh, grh, {g.gid: grh.word_element((g.gid,)) for g in grh.generators}
     )
     e = grh.gen_element("alpha") * grh.gen_element("beta") + grh.scalar(2)
-    assert apply_subst(e, ident) == e
+    assert ident.apply(e) == e
 
 
 def test_apply_subst_plane_relation():
@@ -54,7 +54,7 @@ def test_apply_subst_plane_relation():
     s = plane_substitution(qp, hp)
     xq, yq = qp.gen_elements("x' y'")
     x, y = hp.gen_elements("x y")
-    got = apply_subst(xq * yq - Q * (yq * xq), s)
+    got = s.apply(xq * yq - Q * (yq * xq))
     assert got == x * y - Q * (y * x) + F * (y * y) - Q * F * (y * y)
     # f(1 - q) collapses to -h exactly
     assert got.coefficient(
@@ -75,11 +75,8 @@ def test_apply_subst_respects_multiplication(rng):
 
 def test_missing_image():
     grq, grh = gr_q2(), gr_h2()
-    partial = Substitution(
-        grq, grh, {0: grh.gen_element("alpha")}, check_invertible=False
-    )
     with pytest.raises(MissingImage):
-        partial.apply(grq.gen_element("beta'"))
+        Substitution(grq, grh, {0: grh.gen_element("alpha")})
 
 
 def test_substitutions_are_mutually_inverse():
@@ -186,6 +183,19 @@ def test_gr_relation_contraction():
     lim = limit_span(sp)
     assert lim.rank() == 10
     assert span_equal(lim, relation_span(grh.relations, grh))
+    # contract_relations chains exactly these steps
+    c = contract_relations(s9)
+    assert c.ok
+    assert (c.substituted.rows, c.limit.rows) == (sp.rows, lim.rows)
+    assert c.target.rows == relation_span(grh.relations, grh).rows
+
+
+def test_contract_relations_falsifies_a_wrong_substitution():
+    # x' -> x + 2h/(q-1)*y contracts onto xy = yx + 2h y^2, not the h-plane
+    qp, hp = q_plane(), h_plane()
+    c = contract_relations(plane_substitution(qp, hp, h=2 * H))
+    assert not c.ok
+    assert [str(e) for e in c.limit.to_elements()] == ["-x*y + y*x + 2*h*y^2"]
 
 
 def test_limit_span_preserves_rank_and_is_q_free():

@@ -23,7 +23,6 @@ from qhcontract.grgroup import (
     product_pair_algebra,
     product_theorem,
     right_inverse,
-    verify_det_identity,
 )
 
 from conftest import in_ideal_component
@@ -178,7 +177,7 @@ def test_determinant_exchange_fails_as_stated(grh, rules_h):
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
     assert rep.exchange_residual.rows[1][0] == 2 * (c * a * d)
     assert not in_ideal_component(grh, c * a * d)
-    assert verify_det_identity(grh, rules_h) is False
+    assert inverse_check(grh, rules_h).exchange_ok is False
 
 
 def test_swapped_exchange_also_fails(grh, rules_h):

@@ -7,10 +7,8 @@ from qhcontract.matalg import (
     ScalMat,
     embed1,
     embed2,
-    limit_mat,
     qybe_residual,
     rtt_residual,
-    scale_mat,
     similarity,
 )
 from qhcontract.rewrite import orient
@@ -68,19 +66,19 @@ def test_inverse_rejects_non_unit_pivot():
 
 
 def test_limit_of_rq_is_twice_identity():
-    assert limit_mat(rq_matrix()) == ScalMat.identity(4).scale(2)
+    assert rq_matrix().limit_q1() == ScalMat.identity(4).scale(2)
 
 
 def test_limit_reports_pole_position():
     m = ScalMat([[ONE, F], [ZERO, ONE]])
     with pytest.raises(PoleAtQ1) as err:
-        limit_mat(m)
+        m.limit_q1()
     assert "(1,2)" in str(err.value)
 
 
 def test_rq_at_q1_equals_2I_via_entries():
     r = rq_matrix()
-    lim = limit_mat(r)
+    lim = r.limit_q1()
     for i in range(4):
         for j in range(4):
             expected = Coeff.rational(2) if i == j else ZERO
@@ -166,9 +164,9 @@ def test_contracted_r_matrix_is_rh():
     gg = g_matrix().kron(g_matrix())
     rhq = similarity(gg, rq_matrix())
     half = Coeff.rational(1) / Coeff.rational(2)
-    assert scale_mat(half, limit_mat(rhq)) == rh_matrix()
+    assert rhq.limit_q1().scale(half) == rh_matrix()
 
 
 def test_limit_commutes_with_identity_similarity():
     r = rq_matrix()
-    assert limit_mat(similarity(ScalMat.identity(4), r)) == limit_mat(r)
+    assert similarity(ScalMat.identity(4), r).limit_q1() == r.limit_q1()

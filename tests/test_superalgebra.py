@@ -1,7 +1,7 @@
 import pytest
 
 from qhcontract.coeffring import Coeff
-from qhcontract.superalgebra import AlgebraSpec, free_mul, scale
+from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.grgroup import gr_h2, h_plane
 
 from conftest import random_element
@@ -23,20 +23,20 @@ def mixed():
 
 def test_free_mul_concatenates(mixed):
     al, x, y = mixed.gen_elements("alpha x y")
-    prod = free_mul(al * x, y)
+    prod = (al * x).free_mul(y)
     assert list(prod.terms) == [(0, 1, 2)]
 
 
 def test_free_mul_is_bilinear(mixed):
     al, x, y = mixed.gen_elements("alpha x y")
-    assert free_mul(al + x, y) == al * y + x * y
+    assert (al + x).free_mul(y) == al * y + x * y
 
 
 def test_unit_word_is_identity(mixed):
     e = mixed.gen_element("x") + mixed.scalar(2)
     one = mixed.unit()
-    assert free_mul(one, e) == e
-    assert free_mul(e, one) == e
+    assert one.free_mul(e) == e
+    assert e.free_mul(one) == e
 
 
 def test_add_cancels(mixed):
@@ -46,8 +46,8 @@ def test_add_cancels(mixed):
 
 def test_scale(mixed):
     al, x = mixed.gen_elements("alpha x")
-    assert scale(Coeff.h(), al * x) == Coeff.h() * (al * x)
-    assert scale(0, x).is_zero()
+    assert (al * x).scale(Coeff.h()) == Coeff.h() * (al * x)
+    assert x.scale(0).is_zero()
 
 
 def test_free_mul_associative(rng):
