@@ -25,6 +25,22 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, in about 2*log2(n) products.
+
+    ``one`` is the unit of x's ring; the product ``*`` must be associative,
+    so the result equals that of n successive products.
+    """
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class NotAUnit(ArithmeticError):
     """Inversion was attempted on a non-unit of the localized ring."""
 
@@ -428,10 +444,7 @@ class Coeff:
     def __pow__(self, n: int) -> "Coeff":
         if n < 0:
             return self.try_inv() ** (-n)
-        out = Coeff.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, Coeff.one())
 
     def try_inv(self) -> "Coeff":
         """Inverse when self is a unit r*q^a*(q-1)^b; raises NotAUnit otherwise."""

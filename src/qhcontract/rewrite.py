@@ -8,6 +8,13 @@ rhs word is strictly smaller and reduction terminates.  Cross-family swap
 rules u*v -> sign * v*u are added for every pair of generators from
 distinct families with a declared sign.
 
+Normal forms rewrite the largest reducible word at its first redex until
+no word is reducible.  The reducible words wait in a heap ordered by
+``AlgebraSpec.word_key``, each with its first redex found once when it
+appears, so no step rescans the terms.  The strategy and every normal form
+are those of rescanning all terms before each step, also on systems that
+are not confluent, where the strategy decides the result.
+
 Local confluence is checked by brute force on all words up to a degree
 bound: a word reduced starting from any redex must reach the same normal
 form.  Failures are returned as data, not raised.
@@ -16,6 +23,7 @@ form.  Failures are returned as data, not raised.
 from __future__ import annotations
 
 import itertools
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .coeffring import Coeff, NotAUnit
@@ -46,12 +54,6 @@ class RuleSystem:
     def degree2_normal_words(self):
         return [w for w in self.ambient.degree2_words() if w not in self.rules]
 
-    def _first_redex(self, word):
-        for i in range(len(word) - 1):
-            if word[i : i + 2] in self.rules:
-                return i
-        return None
-
     def reduce_at(self, word, i, c=None):
         """One rewrite step of coefficient*word at position i, as an Element."""
         rhs = self.rules[word[i : i + 2]]
@@ -72,30 +74,52 @@ class RuleSystem:
         Strategy: rewrite the first reducible factor of the largest reducible
         word.  Termination is guaranteed because every rhs word is strictly
         smaller than its lhs in the multiplication-compatible word order.
+
+        The reducible words wait in a heap, largest first in the order of
+        :meth:`AlgebraSpec.word_key`, each with its first redex, found once
+        when the word enters the terms.  A step only produces words smaller
+        than the word it rewrites, which is the largest reducible word
+        present, so a popped word never comes back; an entry whose word has
+        cancelled meanwhile is skipped.  The steps, their coefficient
+        products and the result are therefore those of rescanning every
+        term for the largest reducible word before each step.
         """
         if e.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
-        key = self.ambient.word_key
+        rules = self.rules
+        # word_key negated, (-len(w), [-prec of each letter]), so that the
+        # min-heap pops the largest word first
+        down = [-g.prec for g in self.ambient.generators]
         terms = dict(e.terms)
-        while True:
-            best = None
-            best_i = None
-            for w in terms:
-                i = self._first_redex(w)
-                if i is None:
-                    continue
-                if best is None or key(w) > key(best):
-                    best, best_i = w, i
-            if best is None:
-                return Element(self.ambient, terms)
-            c = terms.pop(best)
-            step = self.reduce_at(best, best_i, c)
-            for w, cc in step.terms.items():
-                s = terms.get(w, Coeff.zero()) + cc
-                if s:
-                    terms[w] = s
+        heap = []
+
+        def push(w):
+            for i in range(len(w) - 1):
+                if w[i : i + 2] in rules:
+                    heappush(heap, (-len(w), [down[g] for g in w], w, i))
+                    return
+
+        for w in terms:
+            push(w)
+        while heap:
+            _len, _key, w, i = heappop(heap)
+            c = terms.pop(w, None)
+            if c is None:
+                continue
+            pre, post = w[:i], w[i + 2 :]
+            for mid, c2 in rules[w[i : i + 2]].terms.items():
+                v = pre + mid + post
+                old = terms.get(v)
+                if old is None:
+                    terms[v] = c * c2
+                    push(v)
                 else:
-                    terms.pop(w, None)
+                    s = old + c * c2
+                    if s:
+                        terms[v] = s
+                    else:
+                        del terms[v]
+        return Element(self.ambient, terms)
 
     def check_confluence(self, degree_bound: int = 4):
         """Reduce every word of length 3..degree_bound from every redex.

@@ -12,6 +12,8 @@ when the divisor is a unit of the localized scalar ring, i.e. a product of
 rationals and powers of q and (q-1).  Parentheses and unary minus signs
 nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError`` with
 its line and column, not a crash of the recursive-descent parser.
+Exponents are bounded by ``MAX_EXPONENT`` in absolute value the same way,
+and ``e^n`` is computed by square-and-multiply.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit
+from .coeffring import Coeff, NotAUnit, power
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -52,6 +54,10 @@ _TOKEN_RE = re.compile(
 # deepest nesting of parentheses and unary minus signs, counted together;
 # each level costs the recursive-descent parser a few Python stack frames
 MAX_NESTING = 100
+
+# largest exponent magnitude in ``e^n``; a power costs about 2*log2(n)
+# products, but the size of the result still grows with n
+MAX_EXPONENT = 100_000
 
 
 class _ExprParser:
@@ -142,23 +148,25 @@ class _ExprParser:
             self._next()
             n = self._exponent()
             if n >= 0:
-                out = self.algebra.unit()
-                for _ in range(n):
-                    out = out * value
-                return out
+                return power(value, n, self.algebra.unit())
             inv = self._unit_scalar(value, col).try_inv()
             return self.algebra.scalar(inv ** (-n))
         return value
 
     def _exponent(self) -> int:
         kind, text, col = self._next()
+        start = col
         sign = 1
         if kind == "op" and text == "-":
             sign = -1
             kind, text, col = self._next()
         if kind != "int":
             self._error("exponent must be an integer", col)
-        return sign * int(text)
+        # digits are counted first: int() refuses very long digit strings
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            self._error(f"exponent larger than {MAX_EXPONENT} in absolute value", start)
+        return sign * int(digits)
 
     def _atom(self) -> Element:
         kind, text, col = self._next()

@@ -33,6 +33,37 @@ def random_element(rng: random.Random, spec, max_degree: int = 2,
     return Element(spec, terms)
 
 
+def rescan_reduce(e: Element, rs) -> Element:
+    """Reference reducer with the strategy of RuleSystem.normal_form.
+
+    Before every step it rescans all terms for the largest reducible word and
+    rewrites that word at its first redex, which normal_form does from a
+    heap.  Unlike naive_fixpoint_reduce it must agree with normal_form on
+    non-confluent systems too.
+    """
+    key = rs.ambient.word_key
+    terms = dict(e.terms)
+    while True:
+        best = None
+        best_i = None
+        for w in terms:
+            i = next((i for i in range(len(w) - 1) if w[i : i + 2] in rs.rules), None)
+            if i is None:
+                continue
+            if best is None or key(w) > key(best):
+                best, best_i = w, i
+        if best is None:
+            return Element(rs.ambient, terms)
+        c = terms.pop(best)
+        step = rs.reduce_at(best, best_i, c)
+        for w, cc in step.terms.items():
+            s = terms.get(w, Coeff.zero()) + cc
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+
+
 def naive_fixpoint_reduce(e: Element, rs) -> Element:
     """Independent reducer: smallest reducible word first, rightmost redex.
 

@@ -16,6 +16,7 @@ from qhcontract.cli import (
 )
 from qhcontract.grgroup import gr_h2, gr_q2, h_plane
 from qhcontract.matalg import ScalMat
+from qhcontract.script import MAX_EXPONENT
 
 from conftest import random_coeff, random_element
 
@@ -279,6 +280,38 @@ def test_nesting_bound_counts_parentheses_and_minus_signs():
     for text in ("(" * 101 + "x" + ")" * 101, "-(" * 50 + "-x" + ")" * 50):
         with pytest.raises(ParseError, match="line 7, column 101: expression nested"):
             parse_expression(text, hp, line=7)
+
+
+def test_large_exponent_keeps_its_output(capsys):
+    # square-and-multiply gives the report of 20000 successive products
+    assert main(["nf", "--algebra", "hplane", "--expr", "x^20000"]) == 0
+    assert capsys.readouterr().out == (
+        '[ ok ] nf hplane "x^20000"\n'
+        "       normal form: x^20000\n"
+        "1 verified, 0 falsified, 0 errors\n"
+    )
+    hp = h_plane()
+    x, y = hp.gen_elements("x y")
+    assert parse_expression("(x+y)^5", hp) == (x + y) * (x + y) * (x + y) * (x + y) * (x + y)
+    assert parse_expression("(q+h)^3/q^-2", hp) == hp.scalar((Q + H) * (Q + H) * (Q + H) * Q * Q)
+
+
+@pytest.mark.parametrize("exponent", ["1000000", "-1000000", f"{MAX_EXPONENT + 1}", "9" * 5000])
+def test_exponent_bound_is_an_error_not_a_verdict(tmp_path, capsys, exponent):
+    script = tmp_path / "power.qh"
+    script.write_text(f'nf hplane "x + q^{exponent}"\n', encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("[ERR ]")
+    assert f"witness: line 1, column 7: exponent larger than {MAX_EXPONENT}" in out
+
+
+def test_exponent_bound_is_inclusive():
+    hp = h_plane()
+    word = parse_expression(f"x^{MAX_EXPONENT}", hp).leading_word()
+    assert word == (hp.generator_named("x").gid,) * MAX_EXPONENT
+    assert parse_expression(f"q^-{MAX_EXPONENT}", hp) == hp.scalar(Q**-MAX_EXPONENT)
+    assert parse_expression("x^0000002", hp) == parse_expression("x*x", hp)
 
 
 def test_unexpected_exception_exits_2(monkeypatch, tmp_path, capsys):

@@ -100,6 +100,18 @@ def test_try_inv_roundtrip(rng):
         assert u * u.try_inv() == ONE
 
 
+def test_power_equals_repeated_products():
+    rng = random.Random(20261018)
+    for _ in range(20):
+        c = random_coeff(rng)
+        repeated = ONE
+        for n in range(12):
+            assert c**n == repeated
+            repeated = repeated * c
+        if c.is_unit():
+            assert c**-5 * c**5 == ONE
+
+
 def test_zero_normalizes_denominators():
     z = Coeff(QHPoly.zero(), 3, 2)
     assert z.is_zero() and z.qpow == 0 and z.q1pow == 0

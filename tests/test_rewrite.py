@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qhcontract.coeffring import Coeff
@@ -6,7 +8,12 @@ from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.contract import relation_span
 from qhcontract.grgroup import gr_h2, gr_q2, h_plane
 
-from conftest import in_ideal_component, naive_fixpoint_reduce, random_element
+from conftest import (
+    in_ideal_component,
+    naive_fixpoint_reduce,
+    random_element,
+    rescan_reduce,
+)
 
 Q = Coeff.q()
 H = Coeff.h()
@@ -147,3 +154,61 @@ def test_normal_form_matches_naive_reducer(rng, grh, rules_h):
     for _ in range(100):
         e = random_element(rng, grh, max_degree=3)
         assert rules_h.normal_form(e) == naive_fixpoint_reduce(e, rules_h)
+
+
+def _with_products(monkeypatch, reduce, e, rules):
+    """reduce(e, rules) and the Coeff products it made, in order.
+
+    A rewrite step multiplies the coefficient of the word it rewrites into
+    each rhs coefficient, so equal logs mean the same steps in the same
+    order: the result alone does not show the order in which words are
+    rewritten, since each word's first redex is fixed.
+    """
+    log = []
+    mul = Coeff.__mul__
+
+    def logged(a, b):
+        log.append((str(a), str(b)))
+        return mul(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Coeff, "__mul__", logged)
+        out = reduce(e, rules)
+    return out, log
+
+
+def _normal_form(e, rules):
+    return rules.normal_form(e)
+
+
+def _assert_rescan_strategy(monkeypatch, spec, rules, seed, samples, max_degree):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        e = random_element(rng, spec, max_degree=max_degree, max_terms=6)
+        got, steps = _with_products(monkeypatch, _normal_form, e, rules)
+        want, rescan_steps = _with_products(monkeypatch, rescan_reduce, e, rules)
+        assert got == want
+        assert str(got) == str(want)
+        assert steps == rescan_steps
+
+
+@pytest.mark.parametrize("build", [gr_q2, gr_h2, h_plane], ids=["GRq2", "GRh2", "hplane"])
+def test_normal_form_matches_rescan_reducer(monkeypatch, build):
+    spec = build()
+    _assert_rescan_strategy(monkeypatch, spec, orient(spec), f"rescan-{spec.name}", 60, 4)
+
+
+def test_normal_form_follows_rescan_strategy_on_non_confluent_system(monkeypatch):
+    # x*y = z^2, y*z = x^2, z*x = y^2 orient to z*z -> x*y, y*z -> x*x,
+    # z*x -> y*y; z^3 reduces to x^3 from its first redex, y^3 from its last
+    spec = AlgebraSpec.build(
+        "cyclic", [("x", "even", "f", 0), ("y", "even", "f", 1), ("z", "even", "f", 2)]
+    )
+    x, y, z = spec.gen_elements("x y z")
+    for lhs, rhs in ((x * y, z * z), (y * z, x * x), (z * x, y * y)):
+        spec.add_relation(lhs - rhs)
+    rules = orient(spec)
+    assert rules.check_confluence(3)
+    assert rules.normal_form(z * z * z) == x * x * x
+    assert naive_fixpoint_reduce(z * z * z, rules) == y * y * y
+    _assert_rescan_strategy(monkeypatch, spec, rules, "rescan-cyclic", 200, 6)

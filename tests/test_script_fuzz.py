@@ -2,8 +2,9 @@
 
 Scripts are assembled from the script grammar's own tokens: builtin and
 undefined names, generator names, scalars, operators, parentheses, small
-exponents and deep nesting.  Whatever the script, ``qhcontract run`` must
-return 0 (verified), 1 (falsified) or 2 (error) and never raise.
+exponents, exponents above the bound and deep nesting.  Whatever the
+script, ``qhcontract run`` must return 0 (verified), 1 (falsified) or
+2 (error) and never raise.
 """
 
 import contextlib
@@ -27,7 +28,8 @@ ALGEBRAS = {
     "P": ["u", "v"],
 }
 MATRICES = ["g", "Rq", "Rh", "builtin:Rq", "M", "nope"]
-OPERATORS = ["+", "-", "*", "/", "^", "(", ")", "^2", "^-1", "^3"]
+# "^1000000" is above script.MAX_EXPONENT, so it is always a parse error
+OPERATORS = ["+", "-", "*", "/", "^", "(", ")", "^2", "^-1", "^3", "^1000000"]
 
 algebra_names = st.sampled_from(sorted(ALGEBRAS) + ["builtin:GRh2", "nope"])
 
