@@ -8,12 +8,16 @@ divisibility by (q-1) is a substitution check, and no multivariate gcd is
 ever computed.  Fraction-free linear algebra elsewhere only needs
 ``exact_div``.
 
-Polynomials store their rational coefficients as ``int`` when integral and
-as ``Fraction`` only otherwise: the contraction pipeline works almost
-entirely on integer coefficients, and machine-size ``int`` arithmetic is
-far cheaper than building a ``Fraction`` per operation.  Accessors that
-hand a rational back to the caller (``QHPoly.constant``,
-``QHPoly.content``, ``Coeff.as_fraction``) still return ``Fraction``.
+A polynomial stores integer coefficients over one positive common
+denominator, so arithmetic is machine-size ``int`` arithmetic and never
+builds a ``Fraction`` per coefficient; the contraction pipeline works
+almost entirely on polynomials whose denominator is 1.  Accessors that hand
+a rational back to the caller (``QHPoly.constant``, ``QHPoly.content``,
+``Coeff.as_fraction``) still return ``Fraction``.
+
+Both q and (q-1) are prime in Q[q,h], and a canonical ``Coeff`` numerator
+is prime to every factor left in its denominator.  Products and sums use
+this to skip the cancellation attempts that cannot succeed.
 
 All values are immutable after construction and every operation returns a
 canonical form, so equality is plain structural comparison.
@@ -64,14 +68,6 @@ def _rat(x):
     raise TypeError(f"cannot use {type(x).__name__} as a rational number")
 
 
-def _div(a, b):
-    """Rational quotient a / b of two canonical coefficients, canonical again."""
-    if type(a) is int and type(b) is int:
-        quo, rem = divmod(a, b)
-        return Fraction(a, b) if rem else quo
-    return _rat(a / b)
-
-
 def _grlex(mono):
     a, b = mono
     return (a + b, a, b)
@@ -80,22 +76,25 @@ def _grlex(mono):
 class QHPoly:
     """Polynomial in q and h over Q, keyed by (q-degree, h-degree).
 
-    Coefficients are nonzero and canonical: an ``int`` when integral and a
-    ``Fraction`` otherwise, so two equal polynomials have equal term dicts.
-    Terms are kept in the order they were produced, since dict equality
-    ignores order; :meth:`leading` takes the graded-lexicographic maximum
-    and printing sorts.
+    The value is ``sum(c * q^a * h^b for (a, b), c in terms.items()) / den``.
+    The coefficients in ``terms`` are nonzero ``int``; ``den`` is a positive
+    ``int`` with gcd(den, content of the terms) = 1, and 1 for the zero
+    polynomial, so two equal polynomials have equal term dicts and equal
+    ``den``.  Terms are kept in the order they were produced, since dict
+    equality ignores order; :meth:`leading` takes the graded-lexicographic
+    maximum and printing sorts.
+
+    The constructor accepts coefficients as ``int`` or ``Fraction``.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _rat(c)
-                if c:
-                    self.terms[mono] = c
+        values = [(m, _rat(c)) for m, c in terms.items()] if terms else ()
+        den = lcm(*(c.denominator for _m, c in values))
+        # reduced fractions over their lcm leave numerators prime to it
+        self.terms = {m: c.numerator * (den // c.denominator) for m, c in values if c}
+        self.den = den
 
     @classmethod
     def zero(cls) -> "QHPoly":
@@ -132,24 +131,37 @@ class QHPoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QHPoly) and self.terms == other.terms
+        return isinstance(other, QHPoly) and self.terms == other.terms and self.den == other.den
 
     __hash__ = None
 
     def __add__(self, other: "QHPoly") -> "QHPoly":
+        if self.den != other.den:
+            return self._sum_over_lcm(other, 1)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return _canonical(out)
+        return _reduced(out, self.den)
 
     def __neg__(self) -> "QHPoly":
-        return _wrap({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "QHPoly") -> "QHPoly":
+        if self.den != other.den:
+            return self._sum_over_lcm(other, -1)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
-        return _canonical(out)
+        return _reduced(out, self.den)
+
+    def _sum_over_lcm(self, other: "QHPoly", sign: int) -> "QHPoly":
+        # self + sign * other with both lifted to the lcm of the denominators
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, sign * (den // other.den)
+        out = {m: c * s1 for m, c in self.terms.items()}
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c * s2
+        return _reduced(out, den)
 
     def __mul__(self, other: "QHPoly") -> "QHPoly":
         out = {}
@@ -158,18 +170,20 @@ class QHPoly:
             for (a2, b2), c2 in other.terms.items():
                 m = (a1 + a2, b1 + b2)
                 out[m] = get(m, 0) + c1 * c2
-        return _canonical(out)
+        return _reduced(out, self.den * other.den)
 
     def scaled(self, r) -> "QHPoly":
         r = _rat(r)
-        return _canonical({m: c * r for m, c in self.terms.items()})
+        n = r.numerator
+        return _reduced({m: c * n for m, c in self.terms.items()}, self.den * r.denominator)
 
     def leading(self):
         """Largest (monomial, coefficient) in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=_grlex)
-        return m, self.terms[m]
+        c = self.terms[m]
+        return m, c if self.den == 1 else _rat(Fraction(c, self.den))
 
     def is_constant(self) -> bool:
         return all(m == (0, 0) for m in self.terms)
@@ -177,7 +191,7 @@ class QHPoly:
     def constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(self.terms.get((0, 0), 0))
+        return Fraction(self.terms.get((0, 0), 0), self.den)
 
     def q_valuation(self) -> int:
         """Largest s with q^s dividing the polynomial (0 for the zero poly)."""
@@ -190,7 +204,7 @@ class QHPoly:
             return self
         if any(a < s for (a, _b) in self.terms):
             raise NotDivisible(f"q^{s} does not divide {self}")
-        return _wrap({(a - s, b): c for (a, b), c in self.terms.items()})
+        return _wrap({(a - s, b): c for (a, b), c in self.terms.items()}, self.den)
 
     def h_valuation(self) -> int:
         """Largest s with h^s dividing the polynomial (0 for the zero poly)."""
@@ -203,12 +217,12 @@ class QHPoly:
             return self
         if any(b < s for (_a, b) in self.terms):
             raise NotDivisible(f"h^{s} does not divide {self}")
-        return _wrap({(a, b - s): c for (a, b), c in self.terms.items()})
+        return _wrap({(a, b - s): c for (a, b), c in self.terms.items()}, self.den)
 
     def mul_qpow(self, s: int) -> "QHPoly":
         if s == 0:
             return self
-        return _wrap({(a + s, b): c for (a, b), c in self.terms.items()})
+        return _wrap({(a + s, b): c for (a, b), c in self.terms.items()}, self.den)
 
     def mul_q1pow(self, s: int) -> "QHPoly":
         if s == 0:
@@ -221,7 +235,7 @@ class QHPoly:
         for (_a, b), c in self.terms.items():
             m = (0, b)
             out[m] = out.get(m, 0) + c
-        return _canonical(out)
+        return _reduced(out, self.den)
 
     def div_q1(self):
         """Quotient by (q-1) when the division is exact, else None."""
@@ -237,7 +251,9 @@ class QHPoly:
                     out[(a - 1, b)] = acc
             if col.get(0, 0) + acc:
                 return None
-        return _canonical(out)
+        # (q-1) is primitive, so by Gauss's lemma the quotient keeps the
+        # content of self and with it the canonical denominator
+        return _wrap(out, self.den)
 
     def q1_valuation(self) -> int:
         """Largest s with (q-1)^s dividing the polynomial (0 for zero)."""
@@ -254,40 +270,24 @@ class QHPoly:
         """Exact quotient self / divisor; raises NotDivisible otherwise."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        (da, db), dc = divisor.leading()
-        if len(divisor.terms) == 1:  # a monomial: shift and scale each term
-            quo = {}
-            for (a, b), c in self.terms.items():
-                if a < da or b < db:
-                    raise NotDivisible(f"{divisor} does not divide {self}")
-                quo[(a - da, b - db)] = _div(c, dc)
-            return _wrap(quo)
-        rem = dict(self.terms)
-        quo = {}
-        while rem:
-            rm = max(rem, key=_grlex)
-            qa, qb = rm[0] - da, rm[1] - db
-            if qa < 0 or qb < 0:
+        den = self.den
+        quo = _int_quotient(self.terms, divisor.terms)
+        if quo is None:
+            # by Gauss's lemma the quotient by the primitive part of the
+            # divisor has integer coefficients whenever the division is exact
+            c = gcd(*divisor.terms.values())
+            if c != 1:
+                quo = _int_quotient(self.terms, {m: v // c for m, v in divisor.terms.items()})
+            if quo is None:
                 raise NotDivisible(f"{divisor} does not divide {self}")
-            # the leading monomial of rem strictly falls, so each quotient
-            # monomial is produced exactly once
-            qc = quo[(qa, qb)] = _div(rem[rm], dc)
-            for (a2, b2), c2 in divisor.terms.items():
-                m = (a2 + qa, b2 + qb)
-                s = rem.get(m, 0) - qc * c2
-                if s:
-                    rem[m] = s
-                else:
-                    del rem[m]
-        return _wrap(quo)
+            den *= c
+        if divisor.den != 1:
+            quo = {m: v * divisor.den for m, v in quo.items()}
+        return _wrap(quo) if den == 1 else _reduced(quo, den)
 
     def content(self) -> Fraction:
         """gcd of the coefficients (positive; 0 for the zero polynomial)."""
-        num, den = 0, 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den) if num else Fraction(0)
+        return Fraction(gcd(*self.terms.values()), self.den) if self.terms else Fraction(0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -300,7 +300,7 @@ class QHPoly:
                 parts.append("q" if a == 1 else f"q^{a}")
             if b:
                 parts.append("h" if b == 1 else f"h^{b}")
-            mag = abs(c)
+            mag = abs(c) if self.den == 1 else _rat(Fraction(abs(c), self.den))
             if mag != 1 or not parts:
                 parts.insert(0, str(mag))
             body = "*".join(parts)
@@ -315,16 +315,64 @@ class QHPoly:
         return f"QHPoly({self})"
 
 
-def _wrap(terms) -> QHPoly:
-    """A QHPoly around a dict that is already canonical, without copying it."""
+def _wrap(terms, den=1) -> QHPoly:
+    """A QHPoly around terms and den that are already canonical, without copying."""
     p = object.__new__(QHPoly)
     p.terms = terms
+    p.den = den
     return p
 
 
-def _canonical(data) -> QHPoly:
-    """A QHPoly from raw int/Fraction sums: zeros dropped, integral values as int."""
-    return _wrap({m: c if type(c) is int else _rat(c) for m, c in data.items() if c})
+def _reduced(terms, den) -> QHPoly:
+    """A QHPoly from int sums over den: zeros dropped, den made prime to the content."""
+    terms = {m: c for m, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return _wrap(terms, den)
+
+
+def _int_quotient(num, divisor):
+    """num / divisor for int term dicts when every quotient coefficient is an int.
+
+    Returns None when the division is not exact or needs a non-integer
+    quotient coefficient.
+    """
+    da, db = dm = max(divisor, key=_grlex)
+    dc = divisor[dm]
+    if len(divisor) == 1:  # a monomial: shift and divide each term
+        quo = {}
+        for (a, b), c in num.items():
+            if a < da or b < db:
+                return None
+            qc, r = divmod(c, dc)
+            if r:
+                return None
+            quo[(a - da, b - db)] = qc
+        return quo
+    rem = dict(num)
+    quo = {}
+    while rem:
+        rm = max(rem, key=_grlex)
+        qa, qb = rm[0] - da, rm[1] - db
+        if qa < 0 or qb < 0:
+            return None
+        qc, r = divmod(rem[rm], dc)
+        if r:
+            return None
+        # the leading monomial of rem strictly falls, so each quotient
+        # monomial is produced exactly once
+        quo[(qa, qb)] = qc
+        for (a2, b2), c2 in divisor.items():
+            m = (a2 + qa, b2 + qb)
+            s = rem.get(m, 0) - qc * c2
+            if s:
+                rem[m] = s
+            else:
+                del rem[m]
+    return quo
 
 
 _Q1_POWERS = [QHPoly.one()]
@@ -336,6 +384,22 @@ def _q1_power(k: int) -> QHPoly:
         n = len(_Q1_POWERS)
         _Q1_POWERS.append(_wrap({(i, 0): (-1) ** (n - i) * comb(n, i) for i in range(n + 1)}))
     return _Q1_POWERS[k]
+
+
+def _cancel_q(num: QHPoly, qpow: int):
+    """num / q^qpow with the common powers of q cancelled."""
+    s = min(num.q_valuation(), qpow)
+    return (num.divide_q(s), qpow - s) if s else (num, qpow)
+
+
+def _cancel_q1(num: QHPoly, q1pow: int):
+    """num / (q-1)^q1pow with the common powers of (q-1) cancelled."""
+    while q1pow:
+        d = num.div_q1()
+        if d is None:
+            break
+        num, q1pow = d, q1pow - 1
+    return num, q1pow
 
 
 class Coeff:
@@ -355,16 +419,8 @@ class Coeff:
             num, qpow, q1pow = QHPoly.zero(), 0, 0
         else:
             if qpow:
-                s = min(num.q_valuation(), qpow)
-                if s:
-                    num = num.divide_q(s)
-                    qpow -= s
-            while q1pow:
-                d = num.div_q1()
-                if d is None:
-                    break
-                num = d
-                q1pow -= 1
+                num, qpow = _cancel_q(num, qpow)
+            num, q1pow = _cancel_q1(num, q1pow)
         self.num = num
         self.qpow = qpow
         self.q1pow = q1pow
@@ -416,12 +472,21 @@ class Coeff:
         other = coeff(other)
         m = max(self.qpow, other.qpow)
         k = max(self.q1pow, other.q1pow)
-        return Coeff(self._lift(m, k) + other._lift(m, k), m, k)
+        num = self._lift(m, k) + other._lift(m, k)
+        if num.is_zero():
+            return Coeff.zero()
+        # a numerator prime to q plus one divisible by q is prime to q, and
+        # the same holds for (q-1): only equal exponents can leave a factor
+        if self.qpow == other.qpow and m:
+            num, m = _cancel_q(num, m)
+        if self.q1pow == other.q1pow:
+            num, k = _cancel_q1(num, k)
+        return _wrap_coeff(num, m, k)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return Coeff(-self.num, self.qpow, self.q1pow)
+        return _wrap_coeff(-self.num, self.qpow, self.q1pow)
 
     def __sub__(self, other) -> "Coeff":
         return self + (-coeff(other))
@@ -434,7 +499,22 @@ class Coeff:
             other = Coeff.rational(other)
         if not isinstance(other, Coeff):
             return NotImplemented
-        return Coeff(self.num * other.num, self.qpow + other.qpow, self.q1pow + other.q1pow)
+        x, qx, kx = self.num, self.qpow, self.q1pow
+        y, qy, ky = other.num, other.qpow, other.q1pow
+        if x.is_zero() or y.is_zero():
+            return Coeff.zero()
+        # both numerators are prime to their own denominators and q, (q-1)
+        # are prime, so only a factor with no q (or (q-1)) denominator can
+        # cancel against the other's, and it is cancelled before multiplying
+        if qx and not qy:
+            y, qx = _cancel_q(y, qx)
+        elif qy and not qx:
+            x, qy = _cancel_q(x, qy)
+        if kx and not ky:
+            y, kx = _cancel_q1(y, kx)
+        elif ky and not kx:
+            x, ky = _cancel_q1(x, ky)
+        return _wrap_coeff(x * y, qx + qy, kx + ky)
 
     __rmul__ = __mul__
 
@@ -466,7 +546,7 @@ class Coeff:
         e1 = self.qpow - a
         e2 = self.q1pow - b
         num = QHPoly.const(1 / r).mul_qpow(max(e1, 0)).mul_q1pow(max(e2, 0))
-        return Coeff(num, max(-e1, 0), max(-e2, 0))
+        return _wrap_coeff(num, max(-e1, 0), max(-e2, 0))
 
     def is_unit(self) -> bool:
         try:
@@ -479,13 +559,10 @@ class Coeff:
         """Exact q -> 1 limit as a polynomial in h; raises PoleAtQ1 on a pole."""
         if self.is_zero():
             return Coeff.zero()
-        p = self.num
-        for _ in range(self.q1pow):
-            d = p.div_q1()
-            if d is None:
-                raise PoleAtQ1(f"{self} has a pole at q = 1")
-            p = d
-        return Coeff(p.at_q1())
+        if self.q1pow:
+            # a canonical numerator is prime to (q-1) while q1pow > 0
+            raise PoleAtQ1(f"{self} has a pole at q = 1")
+        return Coeff(self.num.at_q1())
 
     def as_fraction(self) -> Fraction:
         if self.qpow or self.q1pow or not self.num.is_constant():
@@ -506,6 +583,15 @@ class Coeff:
 
     def __repr__(self) -> str:
         return f"Coeff({self})"
+
+
+def _wrap_coeff(num: QHPoly, qpow: int, q1pow: int) -> Coeff:
+    """A Coeff around parts that are already in canonical form, unchecked."""
+    c = object.__new__(Coeff)
+    c.num = num
+    c.qpow = qpow
+    c.q1pow = q1pow
+    return c
 
 
 def coeff(x) -> Coeff:

@@ -272,9 +272,8 @@ def _primitive(row):
         row = [p.div_q1() if not p.is_zero() else p for p in row]
     num, den = 0, 1
     for p in row:
-        for c in p.terms.values():
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
+        num = gcd(num, *p.terms.values())
+        den = lcm(den, p.den)
     if num and (num, den) != (1, 1):
         row = [p.scaled(Fraction(den, num)) for p in row]
     for p in row:

@@ -58,15 +58,11 @@ class RuleSystem:
         """One rewrite step of coefficient*word at position i, as an Element."""
         rhs = self.rules[word[i : i + 2]]
         pre, post = word[:i], word[i + 2 :]
-        out = {}
-        for w2, c2 in rhs.terms.items():
-            w = pre + w2 + post
-            s = out.get(w, Coeff.zero()) + (c2 if c is None else c * c2)
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return Element(self.ambient, out)
+        # distinct right-hand words give distinct words here, so no two
+        # terms meet
+        return Element(self.ambient, {
+            pre + w2 + post: c2 if c is None else c * c2 for w2, c2 in rhs.terms.items()
+        })
 
     def normal_form(self, e: Element) -> Element:
         """Reduce until no word contains a rule lhs.

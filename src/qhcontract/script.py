@@ -13,7 +13,8 @@ rationals and powers of q and (q-1).  Parentheses and unary minus signs
 nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError`` with
 its line and column, not a crash of the recursive-descent parser.
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value the same way,
-and ``e^n`` is computed by square-and-multiply.
+and ``e^n`` is computed by square-and-multiply.  Integer literals have at
+most ``MAX_LITERAL_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ MAX_NESTING = 100
 # largest exponent magnitude in ``e^n``; a power costs about 2*log2(n)
 # products, but the size of the result still grows with n
 MAX_EXPONENT = 100_000
+
+# most digits in an integer literal, leading zeros not counted; Python
+# refuses to convert decimal strings of more than 4300 digits, and the
+# paper's scalars need only a few
+MAX_LITERAL_DIGITS = 1000
 
 
 class _ExprParser:
@@ -171,6 +177,8 @@ class _ExprParser:
     def _atom(self) -> Element:
         kind, text, col = self._next()
         if kind == "int":
+            if len(text.lstrip("0")) > MAX_LITERAL_DIGITS:
+                self._error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", col)
             return self.algebra.scalar(int(text))
         if kind == "name":
             if text == "q":

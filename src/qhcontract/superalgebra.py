@@ -212,11 +212,15 @@ class Element:
         self._check_same(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Coeff.zero()) + c
-            if s:
-                out[w] = s
+            old = out.get(w)
+            if old is None:
+                out[w] = c
             else:
-                out.pop(w, None)
+                s = old + c
+                if s:
+                    out[w] = s
+                else:
+                    del out[w]
         return Element(self.algebra, out)
 
     def __neg__(self) -> "Element":
@@ -238,11 +242,15 @@ class Element:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, Coeff.zero()) + c1 * c2
-                if s:
-                    out[w] = s
+                old = out.get(w)
+                if old is None:
+                    out[w] = c1 * c2
                 else:
-                    out.pop(w, None)
+                    s = old + c1 * c2
+                    if s:
+                        out[w] = s
+                    else:
+                        del out[w]
         return Element(self.algebra, out)
 
     def __mul__(self, other):

@@ -16,7 +16,7 @@ from qhcontract.cli import (
 )
 from qhcontract.grgroup import gr_h2, gr_q2, h_plane
 from qhcontract.matalg import ScalMat
-from qhcontract.script import MAX_EXPONENT
+from qhcontract.script import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from conftest import random_coeff, random_element
 
@@ -304,6 +304,23 @@ def test_exponent_bound_is_an_error_not_a_verdict(tmp_path, capsys, exponent):
     out = capsys.readouterr().out
     assert out.startswith("[ERR ]")
     assert f"witness: line 1, column 7: exponent larger than {MAX_EXPONENT}" in out
+
+
+@pytest.mark.parametrize("digits", [MAX_LITERAL_DIGITS + 1, 5000])
+def test_literal_bound_is_an_error_not_a_verdict(tmp_path, capsys, digits):
+    script = tmp_path / "literal.qh"
+    script.write_text(f'nf hplane "x + {"9" * digits}"\n', encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("[ERR ]")
+    assert (f"witness: line 1, column 5: integer literal longer than "
+            f"{MAX_LITERAL_DIGITS} digits") in out
+
+
+def test_literal_bound_is_inclusive():
+    hp = h_plane()
+    big = "9" * MAX_LITERAL_DIGITS
+    assert parse_expression(f"x + 000{big}", hp) == hp.gen_element("x") + hp.scalar(int(big))
 
 
 def test_exponent_bound_is_inclusive():

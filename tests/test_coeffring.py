@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -71,6 +72,36 @@ def test_canonicalization_is_idempotent(rng):
         assert again == c
 
 
+def _elision_pairs(rng):
+    """Coeff pairs for every case in which products and sums skip a retry."""
+    for _ in range(300):
+        a, b = random_coeff(rng), random_coeff(rng)
+        yield a, b
+        # a (q-1) denominator against a numerator carrying (q-1)^2 and q
+        with_pole = Coeff(a.num, a.qpow, rng.randint(1, 3))
+        divisible = Coeff(b.num.mul_qpow(1).mul_q1pow(2), b.qpow, 0)
+        yield with_pole, divisible
+        yield divisible, with_pole
+        # equal denominators whose numerators sum to a multiple of q (q-1)
+        z = random_coeff(rng).num.mul_qpow(1).mul_q1pow(rng.randint(1, 3))
+        yield with_pole, Coeff(z - with_pole.num, with_pole.qpow, with_pole.q1pow)
+
+
+def test_products_and_sums_are_canonical(rng):
+    cases = set()
+    for a, b in _elision_pairs(rng):
+        m, k = max(a.qpow, b.qpow), max(a.q1pow, b.q1pow)
+        lifted = [c.num.mul_qpow(m - c.qpow).mul_q1pow(k - c.q1pow) for c in (a, b)]
+        for r, want in (
+            (a * b, Coeff(a.num * b.num, a.qpow + b.qpow, a.q1pow + b.q1pow)),
+            (a + b, Coeff(lifted[0] + lifted[1], m, k)),
+        ):
+            assert r == Coeff(r.num, r.qpow, r.q1pow), (a, b, r)
+            assert r == want, (a, b, r)
+        cases.add((a.qpow == b.qpow, a.q1pow == b.q1pow, a.num.den > 1 or b.num.den > 1))
+    assert len(cases) == 8
+
+
 def test_ring_laws(rng):
     for _ in range(300):
         a, b, c = (random_coeff(rng) for _ in range(3))
@@ -137,10 +168,18 @@ def test_term_order_does_not_matter():
     assert x + y == y + x and str(x + y) == str(y + x)
 
 
+def _assert_canonical_storage(p):
+    assert all(type(c) is int and c for c in p.terms.values()), p.terms
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.terms.values()) == 1
+
+
 def test_integral_coefficients_are_stored_as_int():
+    # integer terms over one positive denominator prime to their content
     p = QHPoly({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
-    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
-    assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 1)]) is Fraction
+    assert (p.terms, p.den) == ({(1, 0): 6, (0, 1): 1}, 3)
+    assert p == QHPoly({(1, 0): 2, (0, 1): Fraction(1, 3)})
+    _assert_canonical_storage(p)
     half = QHPoly.const(Fraction(1, 2))
     results = [
         half + half,
@@ -152,8 +191,16 @@ def test_integral_coefficients_are_stored_as_int():
         QHPoly({(1, 0): Fraction(3, 2), (0, 0): Fraction(1, 2)}).at_q1(),
     ]
     for r in results:
-        assert all(type(c) is int for c in r.terms.values()), r.terms
-    assert type(QHPoly.const(3).exact_div(QHPoly.const(2)).terms[(0, 0)]) is Fraction
+        _assert_canonical_storage(r)
+        assert r.den == 1, (r.terms, r.den)
+    third = QHPoly.const(3).exact_div(QHPoly.const(2))
+    _assert_canonical_storage(third)
+    assert (third.terms, third.den) == ({(0, 0): 3}, 2)
+    rng = random.Random(20261019)
+    for _ in range(100):
+        a, b = random_coeff(rng).num, random_coeff(rng).num
+        for r in (a, b, a + b, a - b, a * b, -a, a.scaled(Fraction(2, 3)), a.at_q1()):
+            _assert_canonical_storage(r)
 
 
 def test_rational_accessors_return_fractions():

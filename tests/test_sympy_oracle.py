@@ -37,7 +37,7 @@ def nonzero_poly(rng, **kw) -> QHPoly:
 
 
 def to_sympy(p: QHPoly):
-    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator) * Q**a * H**b
+    return sympy.Add(*[sympy.Rational(c, p.den) * Q**a * H**b
                        for (a, b), c in p.terms.items()])
 
 
