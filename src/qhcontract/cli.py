@@ -7,7 +7,12 @@ exits 0 when all verdicts are verified, 1 when any is falsified, and 2 on
 error.  Any failure that is not a verdict, whatever its type, is reported
 as ``error: ...`` on stderr and also exits 2 (an unexpected exception is a
 bug in the checker and prints its traceback first), so exit 1 always
-means a falsified claim.  A ``contract`` block renders the
+means a falsified claim.  ``nf`` evaluates its expression in the quotient
+algebra, reducing each product as it is formed, and only on a rule system
+whose confluence is certified
+(:meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`); elsewhere a
+normal form would depend on the rewrite order, so it is an error that
+names the first unresolved overlap.  A ``contract`` block renders the
 :class:`~qhcontract.contract.Contraction` that
 :func:`~qhcontract.contract.contract_relations` returns, as the suite does.
 Output is deterministic: identical scripts produce byte-identical reports.
@@ -25,7 +30,7 @@ from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
 from .contract import MissingImage, Substitution, contract_relations, relation_span, span_equal
 from .matalg import AlgMat, NotInvertible, ScalMat, qybe_residual, rtt_residual
-from .rewrite import OrientationFailure, orient
+from .rewrite import NotConfluent, OrientationFailure, orient
 from .script import (  # parse_scalar is re-exported with the rest of the grammar
     ArityError,
     Node,
@@ -112,7 +117,7 @@ class Runner:
             try:
                 result = handler(node)
             except (ParseError, NotAUnit, PoleAtQ1, NotInvertible, OrientationFailure,
-                    MissingImage, ValueError, KeyError) as exc:
+                    NotConfluent, MissingImage, ValueError, KeyError) as exc:
                 verdicts.append(Verdict(node.text, "error", witness=str(exc)))
                 break
             if result:
@@ -204,8 +209,12 @@ class Runner:
 
     def _run_nf(self, node):
         spec = self.resolve_algebra(node.payload["algebra"], node.line)
-        expr = parse_expression(node.payload["expr"], spec, node.line)
-        nf = self.rules_for(spec).normal_form(expr)
+        rs = self.rules_for(spec)
+        overlaps = rs.unresolved_overlaps()
+        if overlaps:
+            # without confluence a normal form depends on the rewrite order
+            raise NotConfluent(f"not confluent: {_overlap_summary(overlaps)}")
+        nf = parse_expression(node.payload["expr"], spec, node.line, rules=rs)
         return [Verdict(node.text, "verified", details=(f"normal form: {nf}",))]
 
     def _run_limit(self, node):
@@ -338,12 +347,11 @@ class Runner:
                     details=(f"no unresolved overlaps up to degree {self.degree_bound}",),
                 )
             ]
-        w = witnesses[0]
         return [
             Verdict(
                 node.text,
                 "falsified",
-                witness=f"{w.describe()} (+{len(witnesses) - 1} more)",
+                witness=_overlap_summary(witnesses),
                 details=tuple(x.describe() for x in witnesses),
             )
         ]
@@ -361,6 +369,10 @@ class Runner:
                 )
             )
         return out
+
+
+def _overlap_summary(witnesses) -> str:
+    return f"{witnesses[0].describe()} (+{len(witnesses) - 1} more)"
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -25,23 +25,24 @@ canonical form, so equality is plain structural comparison.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 
-def power(x, n: int, one):
+def power(x, n: int, one, mul=operator.mul):
     """x**n for n >= 0 by square-and-multiply, in about 2*log2(n) products.
 
-    ``one`` is the unit of x's ring; the product ``*`` must be associative,
-    so the result equals that of n successive products.
+    ``one`` is the unit of x's ring and ``mul`` its product, which must be
+    associative, so the result equals that of n successive products.
     """
     out = one
     while n:
         if n & 1:
-            out = out * x
+            out = mul(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return out
 
 
@@ -95,6 +96,15 @@ class QHPoly:
         # reduced fractions over their lcm leave numerators prime to it
         self.terms = {m: c.numerator * (den // c.denominator) for m, c in values if c}
         self.den = den
+
+    @classmethod
+    def from_ints(cls, terms, den: int) -> "QHPoly":
+        """``sum(c * q^a * h^b for (a, b), c in terms.items()) / den``.
+
+        The coefficients are ``int`` and ``den`` is a positive ``int``;
+        unlike the constructor, no coefficient is made a ``Fraction``.
+        """
+        return _reduced(terms, den)
 
     @classmethod
     def zero(cls) -> "QHPoly":

@@ -339,13 +339,10 @@ def covariance_relations(problem: CovarianceProblem, into=None):
     surviving coordinate word is returned as a relation.
     """
     into = into or gr_h2()
-    bound = 4
-    if orient(problem.target).check_confluence(bound):
-        raise NonConfluentTarget(
-            f"target plane {problem.target.name!r} is not confluent at degree {bound}"
-        )
+    if orient(problem.target).unresolved_overlaps():
+        raise NonConfluentTarget(f"target plane {problem.target.name!r} is not confluent")
     rs = orient(problem.combined)
-    if rs.check_confluence(bound):
+    if rs.unresolved_overlaps():
         raise NonConfluentTarget(
             f"combined system for {problem.combined.name!r} is not confluent"
         )

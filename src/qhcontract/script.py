@@ -15,6 +15,13 @@ its line and column, not a crash of the recursive-descent parser.
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value the same way,
 and ``e^n`` is computed by square-and-multiply.  Integer literals have at
 most ``MAX_LITERAL_DIGITS`` digits.
+
+An expression evaluates in the free algebra, or, given a confluent rule
+system, in its quotient: each product, that of ``*`` and every step of
+``^``, is reduced to normal form as soon as it is formed.  Atoms are
+normal, and sums, negations and scalar multiples of normal elements are
+normal, so the value is the normal form of the expression without its free
+expansion ever being built.
 """
 
 from __future__ import annotations
@@ -69,8 +76,14 @@ MAX_LITERAL_DIGITS = 1000
 class _ExprParser:
     """Recursive-descent parser evaluating directly to an Element."""
 
-    def __init__(self, text: str, algebra: AlgebraSpec, line=None, col_base: int = 0):
+    def __init__(self, text: str, algebra: AlgebraSpec, line=None, col_base: int = 0,
+                 rules=None):
         self.algebra = algebra
+        if rules is None:
+            self.mul = Element.free_mul
+        else:
+            normal_form = rules.normal_form
+            self.mul = lambda a, b: normal_form(a.free_mul(b))
         self.line = line
         self.col_base = col_base
         self.tokens = []
@@ -131,7 +144,7 @@ class _ExprParser:
                 self._next()
                 rhs = self._factor()
                 if text == "*":
-                    value = value * rhs
+                    value = self.mul(value, rhs)
                 else:
                     value = value.scale(self._unit_scalar(rhs, col).try_inv())
             else:
@@ -154,7 +167,7 @@ class _ExprParser:
             self._next()
             n = self._exponent()
             if n >= 0:
-                return power(value, n, self.algebra.unit())
+                return power(value, n, self.algebra.unit(), self.mul)
             inv = self._unit_scalar(value, col).try_inv()
             return self.algebra.scalar(inv ** (-n))
         return value
@@ -222,9 +235,17 @@ def _as_scalar(e: Element):
 
 
 def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
-                     col_base: int = 0) -> Element:
+                     col_base: int = 0, rules=None) -> Element:
+    """The value of ``text`` in ``algebra`` (the scalars when None).
+
+    ``rules``, a :class:`~qhcontract.rewrite.RuleSystem` of ``algebra``,
+    makes every product a normal form as it is formed, so the value is the
+    normal form of the expression.  That is exact only on a confluent
+    system; the caller certifies it with
+    :meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`.
+    """
     return _ExprParser(text, algebra if algebra is not None else _SCALARS,
-                       line, col_base).parse()
+                       line, col_base, rules).parse()
 
 
 def parse_scalar(text: str, line=None, col_base: int = 0) -> Coeff:

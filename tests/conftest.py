@@ -135,6 +135,19 @@ def in_ideal_component(spec, e: Element) -> bool:
     return RelationSpan(spec, words, rows + [vec]).rank() == base
 
 
+def demo_algebras(name: str) -> dict:
+    """The algebras that ``demos/<name>.qh`` defines, by name."""
+    from pathlib import Path
+
+    from qhcontract.cli import Runner
+    from qhcontract.script import parse_script
+
+    path = Path(__file__).resolve().parent.parent / "demos" / f"{name}.qh"
+    runner = Runner()
+    runner.run([n for n in parse_script(path.read_text()) if n.kind == "algebra"])
+    return runner.names
+
+
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(20260810)

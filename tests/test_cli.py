@@ -355,6 +355,28 @@ def test_main_nf_with_definitions_file(tmp_path, capsys):
     assert "normal form: 0" in capsys.readouterr().out
 
 
+CYCLIC = ("algebra cyc\n gen x prec=0\n gen y prec=1\n gen z prec=2\n"
+          " rel x*y = z^2\n rel y*z = x^2\n rel z*x = y^2\nend\n")
+# as in demos/custom_algebra.qh
+LOPSIDED = "algebra lopsided\n gen x prec=0\n gen y prec=1\n rel y*y = x*y\nend\n"
+
+
+@pytest.mark.parametrize("mode", ["", "porcelain"])
+@pytest.mark.parametrize("defs, expr, overlap", [
+    (CYCLIC, "z^3", "y*z*x -> x^3 | y^3"),
+    (LOPSIDED, "y^3", "y^3 -> x^2*y | y*x*y"),
+], ids=["cyclic", "lopsided"])
+def test_nf_refuses_a_non_confluent_system(tmp_path, capsys, defs, expr, overlap, mode):
+    path = tmp_path / "defs.qh"
+    path.write_text(defs, encoding="utf-8")
+    argv = ["--porcelain"] if mode else []
+    assert main(argv + ["nf", "--algebra", str(path), "--expr", expr]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error\t" if mode else "[ERR ] ")
+    assert f"not confluent: {overlap} (+" in out
+    assert "[ ok ]" not in out
+
+
 def test_main_qybe_with_matrix_file(tmp_path, capsys):
     defs = tmp_path / "rh.qh"
     defs.write_text(

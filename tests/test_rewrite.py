@@ -3,12 +3,13 @@ import random
 import pytest
 
 from qhcontract.coeffring import Coeff
-from qhcontract.rewrite import OrientationFailure, orient
+from qhcontract.rewrite import OrientationFailure, RuleSystem, orient
 from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.contract import relation_span
-from qhcontract.grgroup import gr_h2, gr_q2, h_plane
+from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
 
 from conftest import (
+    demo_algebras,
     in_ideal_component,
     naive_fixpoint_reduce,
     random_element,
@@ -212,3 +213,50 @@ def test_normal_form_follows_rescan_strategy_on_non_confluent_system(monkeypatch
     assert rules.normal_form(z * z * z) == x * x * x
     assert naive_fixpoint_reduce(z * z * z, rules) == y * y * y
     _assert_rescan_strategy(monkeypatch, spec, rules, "rescan-cyclic", 200, 6)
+
+
+def _cyclic():
+    """x*y = z^2, y*z = x^2, z*x = y^2: its overlap y*z*x gives x^3 or y^3."""
+    spec = AlgebraSpec.build(
+        "cyclic", [("x", "even", "f", 0), ("y", "even", "f", 1), ("z", "even", "f", 2)]
+    )
+    x, y, z = spec.gen_elements("x y z")
+    for lhs, rhs in ((x * y, z * z), (y * z, x * x), (z * x, y * y)):
+        spec.add_relation(lhs - rhs)
+    return spec
+
+
+# (system, brute-force degree bound, confluent): degree 5 wherever it takes
+# well under a second
+CERTIFIED = [(name, 4 if name in ("GRh2", "GRq2xGRq2") else 5, True)
+             for name in builtin_algebras()]
+CERTIFIED += [("fermions", 5, True), ("lopsided", 5, False), ("cyclic", 5, False)]
+
+
+@pytest.mark.parametrize("name, bound, confluent", CERTIFIED,
+                         ids=[name for name, _b, _c in CERTIFIED])
+def test_certificate_agrees_with_brute_force(name, bound, confluent):
+    algebras = {**builtin_algebras(), **demo_algebras("custom_algebra"), "cyclic": _cyclic()}
+    rs = orient(algebras[name])
+    overlaps = rs.unresolved_overlaps()
+    assert (overlaps == []) == confluent
+    assert (rs.check_confluence(bound) == []) == confluent
+    for w in overlaps:
+        assert len(w.word) == 3 and w.nf_a != w.nf_b
+
+
+def test_certificate_names_the_first_overlap():
+    rs = orient(_cyclic())
+    assert rs.unresolved_overlaps()[0].describe() == "y*z*x -> x^3 | y^3"
+
+
+def test_certificate_is_lazy(monkeypatch):
+    calls = []
+    check = RuleSystem.check_confluence
+    monkeypatch.setattr(RuleSystem, "check_confluence",
+                        lambda self, bound=4: calls.append(bound) or check(self, bound))
+    rs = orient(gr_h2())
+    assert calls == []
+    rs.unresolved_overlaps()
+    rs.unresolved_overlaps()
+    assert calls == [3]
