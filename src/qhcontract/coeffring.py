@@ -19,6 +19,14 @@ Both q and (q-1) are prime in Q[q,h], and a canonical ``Coeff`` numerator
 is prime to every factor left in its denominator.  Products and sums use
 this to skip the cancellation attempts that cannot succeed.
 
+Most products in rewriting have a factor with a single term, often the
+integer 1.  Such a product shifts and scales the other factor's terms: the
+shift is injective and a product of nonzero integers is nonzero, so no two
+terms meet and none vanishes, and the result needs neither the convolution
+nor a zero filter.  A failing division by (q-1) is told apart by its
+column sums before any quotient is built: (q-1) divides p exactly when
+p(1, h) = 0, that is when the coefficients of every power of h sum to 0.
+
 All values are immutable after construction and every operation returns a
 canonical form, so equality is plain structural comparison.
 """
@@ -103,8 +111,9 @@ class QHPoly:
 
         The coefficients are ``int`` and ``den`` is a positive ``int``;
         unlike the constructor, no coefficient is made a ``Fraction``.
+        ``terms`` is left as it is.
         """
-        return _reduced(terms, den)
+        return _reduced(dict(terms), den)
 
     @classmethod
     def zero(cls) -> "QHPoly":
@@ -174,10 +183,15 @@ class QHPoly:
         return _reduced(out, den)
 
     def __mul__(self, other: "QHPoly") -> "QHPoly":
+        x, y = self.terms, other.terms
+        if len(y) == 1:
+            return _mul_term(self, other)
+        if len(x) == 1:
+            return _mul_term(other, self)
         out = {}
         get = out.get
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
                 m = (a1 + a2, b1 + b2)
                 out[m] = get(m, 0) + c1 * c2
         return _reduced(out, self.den * other.den)
@@ -248,7 +262,18 @@ class QHPoly:
         return _reduced(out, self.den)
 
     def div_q1(self):
-        """Quotient by (q-1) when the division is exact, else None."""
+        """Quotient by (q-1) when the division is exact, else None.
+
+        (q-1) divides p exactly when p(1, h) = 0, that is when the
+        coefficients in every h-column sum to 0; only then is the quotient
+        computed, column by column by synthetic division, which then leaves
+        no remainder.
+        """
+        sums = {}
+        for (_a, b), c in self.terms.items():
+            sums[b] = sums.get(b, 0) + c
+        if any(sums.values()):
+            return None
         cols = {}
         for (a, b), c in self.terms.items():
             cols.setdefault(b, {})[a] = c
@@ -259,8 +284,6 @@ class QHPoly:
                 acc += col.get(a, 0)
                 if acc:
                     out[(a - 1, b)] = acc
-            if col.get(0, 0) + acc:
-                return None
         # (q-1) is primitive, so by Gauss's lemma the quotient keeps the
         # content of self and with it the canonical denominator
         return _wrap(out, self.den)
@@ -334,14 +357,43 @@ def _wrap(terms, den=1) -> QHPoly:
 
 
 def _reduced(terms, den) -> QHPoly:
-    """A QHPoly from int sums over den: zeros dropped, den made prime to the content."""
-    terms = {m: c for m, c in terms.items() if c}
+    """A QHPoly from int sums over den: zeros dropped, den made prime to the content.
+
+    ``terms`` is a dict the caller has just built and hands over: its zero
+    coefficients are deleted in place and it may become the result's dict.
+    """
+    if 0 in terms.values():
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
+    return _lowest(terms, den)
+
+
+def _lowest(terms, den) -> QHPoly:
+    """A QHPoly from nonzero int terms over den, with den made prime to the content."""
     if den != 1:
         g = gcd(den, *terms.values())
         if g != 1:
             terms = {m: c // g for m, c in terms.items()}
             den //= g
     return _wrap(terms, den)
+
+
+def _mul_term(p: QHPoly, t: QHPoly) -> QHPoly:
+    """p * t for a single-term t: p's terms shifted by t's monomial and scaled.
+
+    Distinct monomials stay distinct under the shift and a product of
+    nonzero ints is nonzero, so the terms need no merging and no zero
+    filter; only a denominator other than 1 needs a gcd.
+    """
+    ((ta, tb), tc), = t.terms.items()
+    den = p.den * t.den
+    if ta == tb == 0:
+        if tc == 1 and den == p.den:
+            return p
+        terms = {m: c * tc for m, c in p.terms.items()}
+    else:
+        terms = {(a + ta, b + tb): c * tc for (a, b), c in p.terms.items()}
+    return _lowest(terms, den)
 
 
 def _int_quotient(num, divisor):
@@ -479,11 +531,15 @@ class Coeff:
         return self.num.mul_qpow(m - self.qpow).mul_q1pow(k - self.q1pow)
 
     def __add__(self, other) -> "Coeff":
-        other = coeff(other)
+        if type(other) is not Coeff:
+            other = coeff(other)
         m = max(self.qpow, other.qpow)
         k = max(self.q1pow, other.q1pow)
-        num = self._lift(m, k) + other._lift(m, k)
-        if num.is_zero():
+        # only an operand below the common denominator is lifted to it
+        x = self.num if self.qpow == m and self.q1pow == k else self._lift(m, k)
+        y = other.num if other.qpow == m and other.q1pow == k else other._lift(m, k)
+        num = x + y
+        if not num.terms:
             return Coeff.zero()
         # a numerator prime to q plus one divisible by q is prime to q, and
         # the same holds for (q-1): only equal exponents can leave a factor
@@ -505,13 +561,14 @@ class Coeff:
         return coeff(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
-        if not isinstance(other, Coeff):
-            return NotImplemented
+        if type(other) is not Coeff:
+            if isinstance(other, (int, Fraction)):
+                other = Coeff.rational(other)
+            elif not isinstance(other, Coeff):
+                return NotImplemented
         x, qx, kx = self.num, self.qpow, self.q1pow
         y, qy, ky = other.num, other.qpow, other.q1pow
-        if x.is_zero() or y.is_zero():
+        if not x.terms or not y.terms:
             return Coeff.zero()
         # both numerators are prime to their own denominators and q, (q-1)
         # are prime, so only a factor with no q (or (q-1)) denominator can
@@ -541,6 +598,12 @@ class Coeff:
         if self.is_zero():
             raise NotAUnit("0 is not a unit")
         p = self.num
+        if len(p.terms) == 1 and (0, 0) in p.terms:
+            # a rational constant c/den over q^qpow (q-1)^q1pow: its inverse
+            # is den/c times that denominator, and den/|c| is in lowest terms
+            c = p.terms[(0, 0)]
+            num = _wrap({(0, 0): p.den if c > 0 else -p.den}, abs(c))
+            return _wrap_coeff(num.mul_qpow(self.qpow).mul_q1pow(self.q1pow), 0, 0)
         a = p.q_valuation()
         if a:
             p = p.divide_q(a)

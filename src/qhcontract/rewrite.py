@@ -31,7 +31,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .coeffring import Coeff, NotAUnit
-from .superalgebra import AlgebraSpec, Element
+from .superalgebra import AlgebraSpec, Element, from_nonzero_terms
 
 
 class OrientationFailure(Exception):
@@ -58,6 +58,9 @@ class RuleSystem:
     def __init__(self, ambient: AlgebraSpec, rules):
         self.ambient = ambient
         self.rules = dict(rules)
+        # word_key negated, (-len(w), [-prec of each letter]), so that the
+        # min-heap of normal_form pops the largest word first
+        self._down = [-g.prec for g in ambient.generators]
         self._overlaps = None
 
     def unresolved_overlaps(self):
@@ -114,13 +117,15 @@ class RuleSystem:
         cancelled meanwhile is skipped.  The steps, their coefficient
         products and the result are therefore those of rescanning every
         term for the largest reducible word before each step.
+
+        The input's coefficients are nonzero, each new word gets a product
+        of two nonzero scalars and each sum that cancels is deleted, so the
+        result is built without a zero scan and only sorted.
         """
         if e.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
         rules = self.rules
-        # word_key negated, (-len(w), [-prec of each letter]), so that the
-        # min-heap pops the largest word first
-        down = [-g.prec for g in self.ambient.generators]
+        down = self._down
         terms = dict(e.terms)
         heap = []
 
@@ -150,7 +155,7 @@ class RuleSystem:
                         terms[v] = s
                     else:
                         del terms[v]
-        return Element(self.ambient, terms)
+        return from_nonzero_terms(self.ambient, terms)
 
     def check_confluence(self, degree_bound: int = 4):
         """Reduce every word of length 3..degree_bound from every redex.

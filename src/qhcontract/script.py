@@ -21,7 +21,8 @@ system, in its quotient: each product, that of ``*`` and every step of
 ``^``, is reduced to normal form as soon as it is formed.  Atoms are
 normal, and sums, negations and scalar multiples of normal elements are
 normal, so the value is the normal form of the expression without its free
-expansion ever being built.
+expansion ever being built.  For the same reason a product with a factor
+that is only a scalar is not reduced again.
 """
 
 from __future__ import annotations
@@ -83,7 +84,13 @@ class _ExprParser:
             self.mul = Element.free_mul
         else:
             normal_form = rules.normal_form
-            self.mul = lambda a, b: normal_form(a.free_mul(b))
+
+            def mul(a, b):
+                product = a.free_mul(b)
+                # a scalar multiple of a normal element is normal
+                return product if _is_scalar(a) or _is_scalar(b) else normal_form(product)
+
+            self.mul = mul
         self.line = line
         self.col_base = col_base
         self.tokens = []
@@ -146,7 +153,7 @@ class _ExprParser:
                 if text == "*":
                     value = self.mul(value, rhs)
                 else:
-                    value = value.scale(self._unit_scalar(rhs, col).try_inv())
+                    value = value.scale(self._unit_inverse(rhs, col))
             else:
                 return value
 
@@ -168,7 +175,7 @@ class _ExprParser:
             n = self._exponent()
             if n >= 0:
                 return power(value, n, self.algebra.unit(), self.mul)
-            inv = self._unit_scalar(value, col).try_inv()
+            inv = self._unit_inverse(value, col)
             return self.algebra.scalar(inv ** (-n))
         return value
 
@@ -215,23 +222,25 @@ class _ExprParser:
             return value
         self._error(f"unexpected {text!r}" if kind else "unexpected end of expression", col)
 
-    def _unit_scalar(self, e: Element, col) -> Coeff:
+    def _unit_inverse(self, e: Element, col) -> Coeff:
+        """The inverse of a scalar element that is a unit; a ParseError otherwise."""
         c = _as_scalar(e)
         if c is None:
             self._error("divisor/exponent base must be a scalar", col)
         try:
-            c.try_inv()
+            return c.try_inv()
         except NotAUnit:
             self._error(f"{c} is not a unit of the scalar ring", col)
-        return c
+
+
+def _is_scalar(e: Element) -> bool:
+    """True when every word of e is empty; words are stored largest first."""
+    return not any(e.terms)
 
 
 def _as_scalar(e: Element):
     """The Coeff value of a purely scalar element, else None."""
-    for w in e.terms:
-        if w:
-            return None
-    return e.coefficient(())
+    return e.coefficient(()) if _is_scalar(e) else None
 
 
 def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,

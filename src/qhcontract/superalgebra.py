@@ -5,6 +5,15 @@ combinations of words with :class:`~qhcontract.coeffring.Coeff`
 coefficients.  The global word order is graded first, then lexicographic by
 generator precedence with the higher-precedence letter counting as larger.
 
+Elements keep their words largest first with no zero coefficient.  The
+public constructor drops zeros and sorts; the operations here know more
+about their results and skip what cannot change them.  The coefficient
+ring has no zero divisors, so a product of nonzero scalars is nonzero: the
+terms of ``free_mul``, of sums and of normal forms, which delete each sum
+that cancels as it forms, are never zero, and ``scale`` by a nonzero
+scalar and negation keep both the words and their order as well.  An
+element with at most one word is never sorted.
+
 Parities are carried as metadata only.  No Koszul sign is ever inferred
 from them: the structures built on top mix conventions (matrix entries
 commute with plane coordinates yet anticommute with dual-plane
@@ -181,13 +190,9 @@ class Element:
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: AlgebraSpec, terms):
-        clean = {}
-        for w, c in terms.items():
-            if c:
-                clean[w] = c
-        key = algebra.word_key
+        clean = {w: c for w, c in terms.items() if c}
         self.algebra = algebra
-        self.terms = {w: clean[w] for w in sorted(clean, key=key, reverse=True)}
+        self.terms = _sorted(algebra, clean)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -221,10 +226,10 @@ class Element:
                     out[w] = s
                 else:
                     del out[w]
-        return Element(self.algebra, out)
+        return from_nonzero_terms(self.algebra, out)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, {w: -c for w, c in self.terms.items()})
+        return _wrap_element(self.algebra, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -233,7 +238,7 @@ class Element:
         c = coeff(c)
         if not c:
             return self.algebra.zero()
-        return Element(self.algebra, {w: cc * c for w, cc in self.terms.items()})
+        return _wrap_element(self.algebra, {w: cc * c for w, cc in self.terms.items()})
 
     def free_mul(self, other: "Element") -> "Element":
         """Bilinear extension of word concatenation; no relations applied."""
@@ -251,7 +256,7 @@ class Element:
                         out[w] = s
                     else:
                         del out[w]
-        return Element(self.algebra, out)
+        return from_nonzero_terms(self.algebra, out)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -298,6 +303,29 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.algebra.name}: {self})"
+
+
+def _sorted(algebra: AlgebraSpec, terms: dict) -> dict:
+    """``terms`` with its words largest first; at most one word is kept as it is."""
+    if len(terms) < 2:
+        return terms
+    return {w: terms[w] for w in sorted(terms, key=algebra.word_key, reverse=True)}
+
+
+def _wrap_element(algebra: AlgebraSpec, terms: dict) -> Element:
+    """An Element around terms already free of zeros and sorted, without copying."""
+    e = object.__new__(Element)
+    e.algebra = algebra
+    e.terms = terms
+    return e
+
+
+def from_nonzero_terms(algebra: AlgebraSpec, terms: dict) -> Element:
+    """An Element from a fresh dict with no zero coefficient, handed over.
+
+    Skips the zero scan of the public constructor and sorts the words.
+    """
+    return _wrap_element(algebra, _sorted(algebra, terms))
 
 
 def _term_str(algebra: AlgebraSpec, word: Word, c: Coeff) -> str:

@@ -212,3 +212,10 @@ def test_rational_accessors_return_fractions():
     assert type(Coeff.rational(3).as_fraction()) is Fraction
     assert type(Coeff.rational(Fraction(6, 3)).as_fraction()) is Fraction
     assert (Coeff.rational(2) / Coeff.rational(4)).as_fraction() == Fraction(1, 2)
+
+
+def test_from_ints_leaves_its_argument_unchanged():
+    terms = {(2, 1): 4, (1, 0): 0, (0, 0): 2}
+    p = QHPoly.from_ints(terms, 6)
+    assert terms == {(2, 1): 4, (1, 0): 0, (0, 0): 2}
+    assert (p.terms, p.den) == ({(2, 1): 2, (0, 0): 1}, 3)

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from qhcontract.coeffring import Coeff
+from qhcontract.rewrite import orient
 from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.grgroup import gr_h2, h_plane
 
@@ -98,3 +101,48 @@ def test_reserved_generator_names():
 def test_precedence_must_be_permutation():
     with pytest.raises(ValueError):
         AlgebraSpec.build("bad", [("u", "even", "f", 0), ("v", "even", "f", 2)])
+
+
+def _assert_stored_canonically(e):
+    assert all(e.terms.values()), e
+    keys = list(e.terms)
+    assert keys == sorted(keys, key=e.algebra.word_key, reverse=True), e
+
+
+def _signed_element(rng, spec, max_terms=4):
+    # coefficients +-1 and +-q on short words, so that sums and products
+    # often cancel, as the terms of (1 + x) * (x - 1) do
+    scalars = [Coeff.one(), -Coeff.one(), Coeff.q(), -Coeff.q()]
+    max_len = rng.randint(1, 2)
+    out = spec.zero()
+    for _ in range(rng.randint(0, max_terms)):
+        word = tuple(rng.randrange(len(spec.generators)) for _ in range(rng.randint(0, max_len)))
+        out = out + spec.word_element(word).scale(rng.choice(scalars))
+    return out
+
+
+@pytest.mark.parametrize("build", [gr_h2, h_plane], ids=["GRh2", "hplane"])
+def test_results_have_no_zero_and_are_sorted(build):
+    # free_mul, +, - and normal_form delete the sums that cancel and only
+    # sort; scale and negation keep their input's order
+    spec = build()
+    rules = orient(spec)
+    rng = random.Random(f"stored-{spec.name}")
+    products_cancelled = sums_cancelled = 0
+    for _ in range(300):
+        a, b = _signed_element(rng, spec), _signed_element(rng, spec)
+        if rng.random() < 0.3:
+            b = b - a.scale(rng.choice([Coeff.one(), Coeff.q()]))
+        elif rng.random() < 0.5:
+            # (1 + g) * (g - 1) = g*g - 1: the two terms in g cancel
+            g, one = spec.word_element((rng.randrange(len(spec.generators)),)), spec.unit()
+            a, b = a.free_mul(one + g), (g - one).free_mul(b)
+        c = rng.choice([Coeff.zero(), Coeff.h(), -Coeff.q() ** -1])
+        results = [a.free_mul(b), a + b, a - b, b - a, -a, a.scale(c),
+                   rules.normal_form(a.free_mul(b)), rules.normal_form(a + b)]
+        for r in results:
+            _assert_stored_canonically(r)
+        products = {u + v for u in a.terms for v in b.terms}
+        products_cancelled += len(results[0].terms) < len(products)
+        sums_cancelled += len(results[1].terms) < len(set(a.terms) | set(b.terms))
+    assert products_cancelled >= 20 and sums_cancelled >= 20

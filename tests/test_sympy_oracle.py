@@ -87,6 +87,62 @@ def test_div_q1_and_at_q1_match_sympy():
     assert divisible >= 100
 
 
+def random_term(rng) -> QHPoly:
+    """A nonzero single-term polynomial, over a denominator other than 1 half the time."""
+    mono = (rng.randint(0, 3), rng.randint(0, 3))
+    num = rng.choice([1, -1]) * rng.randint(1, 6)
+    return QHPoly({mono: Fraction(num, rng.choice([1, rng.randint(2, 4)]))})
+
+
+def test_single_term_mul_matches_sympy():
+    # a single-term factor on either side, the constant 1, and the
+    # denominator of the product reduced against the content
+    rng = random.Random(105)
+    one = QHPoly.one()
+    reduced = both_dens = 0
+    for _ in range(150):
+        a, t = random_poly(rng), random_term(rng)
+        unit_fraction = QHPoly.const(Fraction(1, rng.randint(2, 4)))
+        for x, y in ((a, t), (t, a), (t, random_term(rng)), (a, one), (one, a),
+                     (a, unit_fraction), (unit_fraction, a)):
+            want = from_sympy(sympy.expand(to_sympy(x) * to_sympy(y)))
+            got = x * y
+            assert got == want, (x, y)
+            assert str(got) == str(want)
+            both_dens += x.den > 1 and y.den > 1
+            reduced += got.den < x.den * y.den
+    assert one * one == one
+    assert both_dens >= 50 and reduced >= 50
+
+
+def test_div_q1_with_some_zero_column_sums_matches_sympy():
+    # h-columns that sum to 0 next to ones that do not, including column
+    # sums that cancel each other across columns
+    rng = random.Random(106)
+    partial = cancelling = 0
+    for _ in range(150):
+        p = random_poly(rng) * QHPoly.q_minus_1()
+        b1, b2 = rng.sample(range(4), 2)
+        c = rng.choice([1, -1]) * rng.randint(1, 5)
+        stray = QHPoly({(rng.randint(0, 3), b1): c})
+        if rng.random() < 0.5:
+            stray = stray - QHPoly({(rng.randint(0, 3), b2): c})
+        for cand in (p + stray, (p + stray) * QHPoly.q_minus_1()):
+            quo, rem = sympy.div(to_sympy(cand), Q - 1, Q, H)
+            if rem == 0:
+                assert cand.div_q1() == from_sympy(quo)
+                continue
+            assert cand.div_q1() is None
+            sums = {}
+            for (_a, b), v in cand.terms.items():
+                sums[b] = sums.get(b, 0) + v
+            if any(v == 0 for v in sums.values()):
+                partial += 1
+            if sum(sums.values()) == 0:
+                cancelling += 1
+    assert partial >= 30 and cancelling >= 30
+
+
 def random_matrix(rng, nrows, ncols):
     rows = [[random_poly(rng, 2, 2) if rng.random() < 0.7 else QHPoly.zero()
              for _ in range(ncols)] for _ in range(nrows)]
