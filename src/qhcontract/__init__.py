@@ -29,6 +29,7 @@ from .matalg import (
     similarity,
 )
 from .contract import (
+    BadSubstitution,
     Contraction,
     DegreeError,
     MissingImage,
@@ -47,6 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgMat",
     "AlgebraSpec",
+    "BadSubstitution",
     "Coeff",
     "Contraction",
     "DegreeError",

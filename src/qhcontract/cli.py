@@ -12,9 +12,11 @@ algebra, reducing each product as it is formed, and only on a rule system
 whose confluence is certified
 (:meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`); elsewhere a
 normal form would depend on the rewrite order, so it is an error that
-names the first unresolved overlap.  A ``contract`` block renders the
-:class:`~qhcontract.contract.Contraction` that
-:func:`~qhcontract.contract.contract_relations` returns, as the suite does.
+names the first unresolved overlap, and so is an ``rtt`` residual that does
+not reduce to zero.  ``confluence`` prints the same certificate.  A
+``contract`` block renders the :class:`~qhcontract.contract.Contraction`
+that :func:`~qhcontract.contract.contract_relations` returns, as the suite
+does.
 Output is deterministic: identical scripts produce byte-identical reports.
 """
 
@@ -28,7 +30,8 @@ from typing import NamedTuple
 
 from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
-from .contract import MissingImage, Substitution, contract_relations, relation_span, span_equal
+from .contract import (BadSubstitution, MissingImage, Substitution, contract_relations,
+                       relation_span, span_equal)
 from .matalg import AlgMat, NotInvertible, ScalMat, qybe_residual, rtt_residual
 from .rewrite import NotConfluent, OrientationFailure, orient
 from .script import (  # parse_scalar is re-exported with the rest of the grammar
@@ -44,9 +47,6 @@ from .script import (  # parse_scalar is re-exported with the rest of the gramma
 from .superalgebra import AlgebraSpec
 from .suite import run_all
 
-DEGREE_BOUND_ENV = "QHCONTRACT_DEGREE_BOUND"
-
-
 # -- execution ---------------------------------------------------------------------
 
 
@@ -60,14 +60,7 @@ class Verdict(NamedTuple):
 class Runner:
     """Executes a parsed script against the builtin objects."""
 
-    def __init__(self, degree_bound: int | None = None):
-        if degree_bound is None:
-            raw = os.environ.get(DEGREE_BOUND_ENV, "4")
-            try:
-                degree_bound = int(raw)
-            except ValueError:
-                raise ParseError(f"{DEGREE_BOUND_ENV} must be an integer, got {raw!r}") from None
-        self.degree_bound = degree_bound
+    def __init__(self):
         self.names: dict[str, object] = {}
         self.builtin_algebras = grgroup.builtin_algebras()
         self.builtin_matrices = grgroup.builtin_matrices()
@@ -103,6 +96,15 @@ class Runner:
             self._rules[id(spec)] = rs
         return rs
 
+    def confluent_rules(self, spec: AlgebraSpec):
+        """The rules of ``spec``, or :class:`NotConfluent` naming its first
+        unresolved overlap: there a nonzero normal form proves nothing."""
+        rs = self.rules_for(spec)
+        overlaps = rs.unresolved_overlaps()
+        if overlaps:
+            raise NotConfluent(f"not confluent: {_overlap_summary(overlaps)}")
+        return rs
+
     def _define(self, name: str, obj, line) -> None:
         if name in self.names:
             raise ParseError(f"name {name!r} is already defined", line)
@@ -117,7 +119,7 @@ class Runner:
             try:
                 result = handler(node)
             except (ParseError, NotAUnit, PoleAtQ1, NotInvertible, OrientationFailure,
-                    NotConfluent, MissingImage, ValueError, KeyError) as exc:
+                    NotConfluent, MissingImage, BadSubstitution) as exc:
                 verdicts.append(Verdict(node.text, "error", witness=str(exc)))
                 break
             if result:
@@ -209,11 +211,8 @@ class Runner:
 
     def _run_nf(self, node):
         spec = self.resolve_algebra(node.payload["algebra"], node.line)
-        rs = self.rules_for(spec)
-        overlaps = rs.unresolved_overlaps()
-        if overlaps:
-            # without confluence a normal form depends on the rewrite order
-            raise NotConfluent(f"not confluent: {_overlap_summary(overlaps)}")
+        # without confluence a normal form depends on the rewrite order
+        rs = self.confluent_rules(spec)
         nf = parse_expression(node.payload["expr"], spec, node.line, rules=rs)
         return [Verdict(node.text, "verified", details=(f"normal form: {nf}",))]
 
@@ -252,8 +251,9 @@ class Runner:
             raise ArityError("rtt needs an algebra with at least 4 generators", node.line)
         res = rtt_residual(mat, grgroup.entry_matrix(spec), self.rules_for(spec),
                            node.payload["sign"])
-        if res.is_zero():
+        if res.is_zero():  # zero normal forms prove membership on any system
             return [Verdict(node.text, "verified")]
+        self.confluent_rules(spec)
         i, j, e = res.nonzero_entries()[0]
         return [Verdict(node.text, "falsified", witness=f"entry ({i},{j}): {e}")]
 
@@ -338,15 +338,12 @@ class Runner:
 
     def _run_confluence(self, node):
         spec = self.resolve_algebra(node.payload["args"][0], node.line)
-        witnesses = self.rules_for(spec).check_confluence(self.degree_bound)
+        rs = self.rules_for(spec)
+        witnesses = rs.unresolved_overlaps()
         if not witnesses:
-            return [
-                Verdict(
-                    node.text,
-                    "verified",
-                    details=(f"no unresolved overlaps up to degree {self.degree_bound}",),
-                )
-            ]
+            detail = (f"confluent in every degree (diamond lemma: "
+                      f"{rs.overlap_count()} overlaps resolved)")
+            return [Verdict(node.text, "verified", details=(detail,))]
         return [
             Verdict(
                 node.text,

@@ -43,6 +43,10 @@ class MissingImage(KeyError):
     """A substitution was given no image for some source generators."""
 
 
+class BadSubstitution(ValueError):
+    """The images given for a substitution do not define an invertible map."""
+
+
 class DegreeError(ValueError):
     """A relation span was built from non-quadratic relations."""
 
@@ -56,7 +60,8 @@ class Substitution:
 
     ``images`` maps every source generator id to a nonzero degree-1 element
     of the target algebra; the constructor rejects a partial map
-    (:class:`MissingImage`) and a map that is not invertible over the scalars.
+    (:class:`MissingImage`) and a map that is not invertible over the scalars
+    (:class:`BadSubstitution`).
     """
 
     def __init__(self, source: AlgebraSpec, target: AlgebraSpec, images):
@@ -68,19 +73,19 @@ class Substitution:
             raise MissingImage(", ".join(missing))
         for gid, img in self.images.items():
             if not isinstance(img, Element) or img.algebra is not target:
-                raise ValueError("images must be elements of the target algebra")
+                raise BadSubstitution("images must be elements of the target algebra")
             if img.is_zero() or not img.is_homogeneous(1):
-                raise ValueError(
+                raise BadSubstitution(
                     f"image of {source.generator(gid).name} must be homogeneous of degree 1"
                 )
         n = len(source.generators)
         if len(self.images) != n or len(target.generators) != n:
-            raise ValueError("invertibility requires a total map between "
-                             "algebras of equal rank")
+            raise BadSubstitution("invertibility requires a total map between "
+                                  "algebras of equal rank")
         try:
             self.matrix().inverse()
         except NotInvertible:
-            raise ValueError("substitution is not invertible over the scalars")
+            raise BadSubstitution("substitution is not invertible over the scalars")
 
     @classmethod
     def by_name(cls, source: AlgebraSpec, target: AlgebraSpec, images) -> "Substitution":

@@ -20,12 +20,8 @@ from typing import NamedTuple
 from .coeffring import Coeff
 from .contract import RelationSpan, Substitution, extend, relation_span
 from .matalg import AlgMat, ScalMat
-from .rewrite import orient
+from .rewrite import NotConfluent, orient
 from .superalgebra import AlgebraSpec, Element
-
-
-class NonConfluentTarget(Exception):
-    """A covariance derivation was asked for over a non-confluent plane."""
 
 
 def _h(value) -> Coeff:
@@ -340,10 +336,10 @@ def covariance_relations(problem: CovarianceProblem, into=None):
     """
     into = into or gr_h2()
     if orient(problem.target).unresolved_overlaps():
-        raise NonConfluentTarget(f"target plane {problem.target.name!r} is not confluent")
+        raise NotConfluent(f"target plane {problem.target.name!r} is not confluent")
     rs = orient(problem.combined)
     if rs.unresolved_overlaps():
-        raise NonConfluentTarget(
+        raise NotConfluent(
             f"combined system for {problem.combined.name!r} is not confluent"
         )
     images = {}

@@ -15,13 +15,12 @@ appears, so no step rescans the terms.  The strategy and every normal form
 are those of rescanning all terms before each step, also on systems that
 are not confluent, where the strategy decides the result.
 
-Local confluence is checked by brute force on all words up to a degree
-bound: a word reduced starting from any redex must reach the same normal
-form.  Failures are returned as data, not raised.  Because every rule is
-quadratic and the word order is degree-lexicographic, the degree-3 check
-already decides confluence in every degree (Bergman's diamond lemma, see
-:meth:`RuleSystem.unresolved_overlaps`); a rule system computes that
-certificate once, when it is first asked for.
+Confluence is decided once, on first use, by Bergman's diamond lemma:
+every rule is quadratic and the word order is degree-lexicographic, so the
+system is confluent in every degree exactly when each overlap ``abc``, with
+``ab`` and ``bc`` both left-hand sides, reduces to one normal form from
+both redexes (:meth:`RuleSystem.unresolved_overlaps`).  Unresolved
+overlaps are returned as data, not raised.
 """
 
 from __future__ import annotations
@@ -63,6 +62,20 @@ class RuleSystem:
         self._down = [-g.prec for g in ambient.generators]
         self._overlaps = None
 
+    def _overlap_pairs(self):
+        """Each overlap ``abc`` with ``rhs(ab)`` and ``rhs(bc)``, in
+        lexicographic order of ``abc``."""
+        rules = self.rules
+        for (a, b), rhs_ab in sorted(rules.items()):
+            for c in range(len(self.ambient.generators)):
+                rhs_bc = rules.get((b, c))
+                if rhs_bc is not None:
+                    yield (a, b, c), rhs_ab, rhs_bc
+
+    def overlap_count(self) -> int:
+        """The number of overlaps, resolved or not."""
+        return sum(1 for _ in self._overlap_pairs())
+
     def unresolved_overlaps(self):
         """The overlaps whose two reductions differ; empty iff confluent.
 
@@ -74,33 +87,30 @@ class RuleSystem:
         makes confluence in every degree equivalent to the resolvability of
         its ambiguities.  Two distinct length-2 left-hand sides cannot
         contain one another, so the only ambiguities are the overlaps
-        ``abc`` with ``ab`` and ``bc`` both left-hand sides: exactly the
-        length-3 words with two redexes that ``check_confluence(3)``
-        reduces from each redex.  Equal normal forms resolve the overlap;
-        distinct ones are two normal forms of one element, so the system is
-        not confluent.  An empty list therefore certifies that every
-        element has one normal form and that ``normal_form(a * b) ==
-        normal_form(normal_form(a) * normal_form(b))``.
+        ``abc`` with ``ab`` and ``bc`` both left-hand sides, and each is
+        reduced from both redexes: ``nf_a`` is the normal form of
+        ``rhs(ab)*c`` and ``nf_b`` that of ``a*rhs(bc)``.  Equal normal
+        forms resolve the overlap; distinct ones are two normal forms of
+        one element, so the system is not confluent.  An empty list
+        therefore certifies that every element has one normal form and that
+        ``normal_form(a * b) == normal_form(normal_form(a) * normal_form(b))``.
 
         Computed on the first call and kept, as a list of
-        :class:`OverlapWitness` (empty for a confluent system).
+        :class:`OverlapWitness` in lexicographic order of the overlaps.
         """
         if self._overlaps is None:
-            self._overlaps = self.check_confluence(3)
+            gen = [self.ambient.word_element((g,)) for g in range(len(self.ambient.generators))]
+            out = []
+            for (a, b, c), rhs_ab, rhs_bc in self._overlap_pairs():
+                nf_a = self.normal_form(rhs_ab * gen[c])
+                nf_b = self.normal_form(gen[a] * rhs_bc)
+                if nf_a != nf_b:
+                    out.append(OverlapWitness((a, b, c), nf_a, nf_b))
+            self._overlaps = out
         return self._overlaps
 
     def degree2_normal_words(self):
         return [w for w in self.ambient.degree2_words() if w not in self.rules]
-
-    def reduce_at(self, word, i, c=None):
-        """One rewrite step of coefficient*word at position i, as an Element."""
-        rhs = self.rules[word[i : i + 2]]
-        pre, post = word[:i], word[i + 2 :]
-        # distinct right-hand words give distinct words here, so no two
-        # terms meet
-        return Element(self.ambient, {
-            pre + w2 + post: c2 if c is None else c * c2 for w2, c2 in rhs.terms.items()
-        })
 
     def normal_form(self, e: Element) -> Element:
         """Reduce until no word contains a rule lhs.
@@ -156,32 +166,6 @@ class RuleSystem:
                     else:
                         del terms[v]
         return from_nonzero_terms(self.ambient, terms)
-
-    def check_confluence(self, degree_bound: int = 4):
-        """Reduce every word of length 3..degree_bound from every redex.
-
-        Returns a list of :class:`OverlapWitness` for words whose normal form
-        depends on the first redex chosen; empty means locally confluent up
-        to the bound.  A non-empty result is a finding, not an error.
-        """
-        if degree_bound < 3:
-            raise ValueError("degree_bound must be at least 3")
-        gids = range(len(self.ambient.generators))
-        witnesses = []
-        for length in range(3, degree_bound + 1):
-            for word in itertools.product(gids, repeat=length):
-                redexes = [i for i in range(length - 1) if word[i : i + 2] in self.rules]
-                if len(redexes) < 2:
-                    continue
-                base = None
-                for i in redexes:
-                    nf = self.normal_form(self.reduce_at(word, i))
-                    if base is None:
-                        base = nf
-                    elif nf != base:
-                        witnesses.append(OverlapWitness(word, base, nf))
-                        break
-        return witnesses
 
 
 def orient(spec: AlgebraSpec) -> RuleSystem:

@@ -1,6 +1,7 @@
 """Shared oracles and randomized-value helpers for the test suite."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.contract import RelationSpan
+from qhcontract.rewrite import OverlapWitness
 from qhcontract.superalgebra import Element
 
 
@@ -33,6 +35,38 @@ def random_element(rng: random.Random, spec, max_degree: int = 2,
     return Element(spec, terms)
 
 
+def reduce_at(rs, word, i, c):
+    """One rewrite step of c*word at position i, as an Element."""
+    pre, post = word[:i], word[i + 2 :]
+    return Element(rs.ambient, {
+        pre + w2 + post: c * c2 for w2, c2 in rs.rules[word[i : i + 2]].terms.items()
+    })
+
+
+def brute_force_overlaps(rs, degree_bound: int):
+    """Reduce every word of length 3..degree_bound from every redex.
+
+    The unresolved words, in lexicographic order per length, each with the
+    normal forms from its first redex and from the first one that differs:
+    an oracle for RuleSystem.unresolved_overlaps, which by the diamond lemma
+    needs only the overlaps of length 3.
+    """
+    one = Coeff.one()
+    witnesses = []
+    for length in range(3, degree_bound + 1):
+        for word in itertools.product(range(len(rs.ambient.generators)), repeat=length):
+            redexes = [i for i in range(length - 1) if word[i : i + 2] in rs.rules]
+            if len(redexes) < 2:
+                continue
+            base = rs.normal_form(reduce_at(rs, word, redexes[0], one))
+            for i in redexes[1:]:
+                nf = rs.normal_form(reduce_at(rs, word, i, one))
+                if nf != base:
+                    witnesses.append(OverlapWitness(word, base, nf))
+                    break
+    return witnesses
+
+
 def rescan_reduce(e: Element, rs) -> Element:
     """Reference reducer with the strategy of RuleSystem.normal_form.
 
@@ -55,7 +89,7 @@ def rescan_reduce(e: Element, rs) -> Element:
         if best is None:
             return Element(rs.ambient, terms)
         c = terms.pop(best)
-        step = rs.reduce_at(best, best_i, c)
+        step = reduce_at(rs, best, best_i, c)
         for w, cc in step.terms.items():
             s = terms.get(w, Coeff.zero()) + cc
             if s:
@@ -83,7 +117,7 @@ def naive_fixpoint_reduce(e: Element, rs) -> Element:
             return Element(rs.ambient, terms)
         w, i = chosen
         c = terms.pop(w)
-        step = rs.reduce_at(w, i, c)
+        step = reduce_at(rs, w, i, c)
         for w2, c2 in step.terms.items():
             s = terms.get(w2, Coeff.zero()) + c2
             if s:
@@ -99,8 +133,6 @@ def degree_component_span(spec, degree: int):
     u * r * v over all relations r and words u, v with len(u)+len(v)+2 = d.
     Used as a rewriting-free membership oracle.
     """
-    import itertools
-
     n = len(spec.generators)
     words = sorted(
         itertools.product(range(n), repeat=degree), key=spec.word_key

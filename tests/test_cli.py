@@ -88,8 +88,8 @@ def test_element_roundtrip_through_printer(rng):
 # -- script parsing and execution -------------------------------------------------
 
 
-def run_script(text: str, degree_bound=None):
-    runner = Runner(degree_bound=degree_bound)
+def run_script(text: str):
+    runner = Runner()
     return runner.run(parse_script(text)), runner
 
 
@@ -185,20 +185,13 @@ def test_contract_missing_image():
     assert verdicts[0].status == "error"
 
 
-def test_confluence_degree_bound_env(monkeypatch):
-    monkeypatch.setenv("QHCONTRACT_DEGREE_BOUND", "3")
-    runner = Runner()
-    assert runner.degree_bound == 3
-    monkeypatch.delenv("QHCONTRACT_DEGREE_BOUND")
-    assert Runner().degree_bound == 4
-
-
-def test_bad_degree_bound_is_an_error_not_a_verdict(monkeypatch, capsys):
-    monkeypatch.setenv("QHCONTRACT_DEGREE_BOUND", "abc")
-    assert main(["verify-paper"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: QHCONTRACT_DEGREE_BOUND must be an integer, got 'abc'\n"
+@pytest.mark.parametrize("images, message", [
+    ("subst x' = y\n subst y' = y", "substitution is not invertible over the scalars"),
+    ("subst x' = x*y\n subst y' = y", "image of x' must be homogeneous of degree 1"),
+], ids=["singular", "quadratic"])
+def test_contract_bad_substitution_is_an_error(images, message):
+    verdicts, _ = run_script(f"contract qplane hplane\n {images}\nend")
+    assert [(v.status, v.witness) for v in verdicts] == [("error", message)]
 
 
 def test_empty_script():
@@ -345,6 +338,21 @@ def test_unexpected_exception_exits_2(monkeypatch, tmp_path, capsys):
     assert captured.err.endswith("\nerror: RuntimeError: engine failure\n")
 
 
+def test_unexpected_value_error_in_a_handler_exits_2(monkeypatch, tmp_path, capsys):
+    # Runner.run turns only the library's own errors into error verdicts
+    def boom(self, node):
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr(Runner, "_run_qybe", boom)
+    script = tmp_path / "any.qh"
+    script.write_text("qybe builtin:Rq\n", encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("\nerror: ValueError: engine failure\n")
+
+
 def test_main_nf_with_definitions_file(tmp_path, capsys):
     defs = tmp_path / "plane.qh"
     defs.write_text(
@@ -375,6 +383,21 @@ def test_nf_refuses_a_non_confluent_system(tmp_path, capsys, defs, expr, overlap
     assert out.startswith("error\t" if mode else "[ERR ] ")
     assert f"not confluent: {overlap} (+" in out
     assert "[ ok ]" not in out
+
+
+def test_rtt_keeps_a_zero_residual_on_a_non_confluent_system():
+    # a, b, c, d commute, so R = 1 gives a zero residual with sign=+1, and the
+    # zero normal forms prove it although x, y, z are not confluent; the
+    # refusal of a nonzero residual is demos/non_confluent_rtt.qh
+    defs = ("algebra mixed\n gen a\n gen b\n gen c\n gen d\n gen x\n gen y\n gen z\n"
+            " rel a*b = b*a\n rel a*c = c*a\n rel a*d = d*a\n rel b*c = c*b\n"
+            " rel b*d = d*b\n rel c*d = d*c\n"
+            " rel x*y = z^2\n rel y*z = x^2\n rel z*x = y^2\nend\n")
+    verdicts, _ = run_script(
+        defs + "mat I 4 [ 1, 0, 0, 0 ; 0, 1, 0, 0 ; 0, 0, 1, 0 ; 0, 0, 0, 1 ]\n"
+        "confluence mixed\nrtt I mixed sign=+1\n"
+    )
+    assert [v.status for v in verdicts] == ["falsified", "verified"]
 
 
 def test_main_qybe_with_matrix_file(tmp_path, capsys):

@@ -25,7 +25,7 @@ from qhcontract.grgroup import (
     right_inverse,
 )
 
-from conftest import in_ideal_component
+from conftest import brute_force_overlaps, in_ideal_component
 
 H = Coeff.h()
 ZERO_H = Coeff.zero()
@@ -264,4 +264,4 @@ def test_product_relation_via_naive_reducer(pair):
 
 def test_gl_q2_target_orients_and_is_confluent():
     rs = orient(gl_q2_target())
-    assert rs.check_confluence(4) == []
+    assert brute_force_overlaps(rs, 4) == []

@@ -9,6 +9,7 @@ from qhcontract.contract import relation_span
 from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
 
 from conftest import (
+    brute_force_overlaps,
     demo_algebras,
     in_ideal_component,
     naive_fixpoint_reduce,
@@ -105,15 +106,15 @@ def test_normal_form_delta_alpha(grh, rules_h):
 
 
 def test_confluence_empty_for_builtin_systems(rules_q, rules_h):
-    assert rules_q.check_confluence(4) == []
-    assert rules_h.check_confluence(4) == []
+    assert brute_force_overlaps(rules_q, 4) == []
+    assert brute_force_overlaps(rules_h, 4) == []
 
 
 def test_confluence_of_commuting_plane():
     spec = h_plane(h=Coeff.zero())
     rs = orient(spec)
     assert list(rs.rules) == [tuple(spec.generator_named(n).gid for n in ("x", "y"))]
-    assert rs.check_confluence(4) == []
+    assert brute_force_overlaps(rs, 4) == []
 
 
 def test_confluence_detects_failure():
@@ -122,8 +123,8 @@ def test_confluence_detects_failure():
     x, y = spec.gen_elements("x y")
     spec.add_relation(y * y - x * y)
     rs = orient(spec)
-    witnesses = rs.check_confluence(3)
-    assert witnesses
+    witnesses = rs.unresolved_overlaps()
+    assert witnesses == brute_force_overlaps(rs, 3)
     assert witnesses[0].word == (1, 1, 1)
     assert witnesses[0].nf_a != witnesses[0].nf_b
 
@@ -209,7 +210,7 @@ def test_normal_form_follows_rescan_strategy_on_non_confluent_system(monkeypatch
     for lhs, rhs in ((x * y, z * z), (y * z, x * x), (z * x, y * y)):
         spec.add_relation(lhs - rhs)
     rules = orient(spec)
-    assert rules.check_confluence(3)
+    assert brute_force_overlaps(rules, 3)
     assert rules.normal_form(z * z * z) == x * x * x
     assert naive_fixpoint_reduce(z * z * z, rules) == y * y * y
     _assert_rescan_strategy(monkeypatch, spec, rules, "rescan-cyclic", 200, 6)
@@ -226,21 +227,26 @@ def _cyclic():
     return spec
 
 
-# (system, brute-force degree bound, confluent): degree 5 wherever it takes
-# well under a second
-CERTIFIED = [(name, 4 if name in ("GRh2", "GRq2xGRq2") else 5, True)
+# (system, brute-force degree bound, confluent, overlaps): degree 5
+# wherever it takes well under a second
+OVERLAPS = {"GRq2": 20, "GRh2": 20, "qplane": 0, "hplane": 0, "qdualplane": 4,
+            "hdualplane": 4, "GLq2-target": 4, "GRq2xGRq2": 120}
+CERTIFIED = [(name, 4 if name in ("GRh2", "GRq2xGRq2") else 5, True, OVERLAPS[name])
              for name in builtin_algebras()]
-CERTIFIED += [("fermions", 5, True), ("lopsided", 5, False), ("cyclic", 5, False)]
+CERTIFIED += [("fermions", 5, True, 10), ("lopsided", 5, False, 1), ("cyclic", 5, False, 4)]
 
 
-@pytest.mark.parametrize("name, bound, confluent", CERTIFIED,
-                         ids=[name for name, _b, _c in CERTIFIED])
-def test_certificate_agrees_with_brute_force(name, bound, confluent):
+@pytest.mark.parametrize("name, bound, confluent, count", CERTIFIED,
+                         ids=[name for name, *_rest in CERTIFIED])
+def test_certificate_agrees_with_brute_force(name, bound, confluent, count):
     algebras = {**builtin_algebras(), **demo_algebras("custom_algebra"), "cyclic": _cyclic()}
     rs = orient(algebras[name])
     overlaps = rs.unresolved_overlaps()
+    assert rs.overlap_count() == count
     assert (overlaps == []) == confluent
-    assert (rs.check_confluence(bound) == []) == confluent
+    assert (brute_force_overlaps(rs, bound) == []) == confluent
+    # the same witnesses as the degree-3 brute force, in the same order
+    assert overlaps == brute_force_overlaps(rs, 3)
     for w in overlaps:
         assert len(w.word) == 3 and w.nf_a != w.nf_b
 
@@ -252,11 +258,11 @@ def test_certificate_names_the_first_overlap():
 
 def test_certificate_is_lazy(monkeypatch):
     calls = []
-    check = RuleSystem.check_confluence
-    monkeypatch.setattr(RuleSystem, "check_confluence",
-                        lambda self, bound=4: calls.append(bound) or check(self, bound))
+    pairs = RuleSystem._overlap_pairs
+    monkeypatch.setattr(RuleSystem, "_overlap_pairs",
+                        lambda self: calls.append(self) or pairs(self))
     rs = orient(gr_h2())
     assert calls == []
     rs.unresolved_overlaps()
     rs.unresolved_overlaps()
-    assert calls == [3]
+    assert calls == [rs]
