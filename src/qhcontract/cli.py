@@ -7,13 +7,14 @@ exits 0 when all verdicts are verified, 1 when any is falsified, and 2 on
 error.  Any failure that is not a verdict, whatever its type, is reported
 as ``error: ...`` on stderr and also exits 2 (an unexpected exception is a
 bug in the checker and prints its traceback first), so exit 1 always
-means a falsified claim.  ``nf`` evaluates its expression in the quotient
-algebra, reducing each product as it is formed, and only on a rule system
-whose confluence is certified
-(:meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`); elsewhere a
-normal form would depend on the rewrite order, so it is an error that
-names the first unresolved overlap, and so is an ``rtt`` residual that does
-not reduce to zero.  ``confluence`` prints the same certificate.  A
+means a falsified claim.  Every command reduces with the rule system that
+:func:`~qhcontract.rewrite.orient` keeps for its algebra.  ``nf``
+evaluates its expression in the quotient algebra, reducing each product as
+it is formed, and only on a rule system whose confluence is certified
+(:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal form
+would depend on the rewrite order, so it is an error that names the first
+unresolved overlap, and so is an ``rtt`` residual that does not reduce to
+zero.  ``confluence`` prints the same certificate.  A
 ``contract`` block renders the :class:`~qhcontract.contract.Contraction`
 that :func:`~qhcontract.contract.contract_relations` returns, as the suite
 does.
@@ -33,7 +34,7 @@ from .coeffring import NotAUnit, PoleAtQ1
 from .contract import (BadSubstitution, MissingImage, Substitution, contract_relations,
                        relation_span, span_equal)
 from .matalg import AlgMat, NotInvertible, ScalMat, qybe_residual, rtt_residual
-from .rewrite import NotConfluent, OrientationFailure, orient
+from .rewrite import NotConfluent, OrientationFailure, confluent_rules, orient, overlap_summary
 from .script import (  # parse_scalar is re-exported with the rest of the grammar
     ArityError,
     Node,
@@ -64,7 +65,6 @@ class Runner:
         self.names: dict[str, object] = {}
         self.builtin_algebras = grgroup.builtin_algebras()
         self.builtin_matrices = grgroup.builtin_matrices()
-        self._rules = {}
 
     # name resolution ---------------------------------------------------------
 
@@ -90,20 +90,8 @@ class Runner:
         return self._resolve(name, self.builtin_matrices, (ScalMat, AlgMat), "matrix", line)
 
     def rules_for(self, spec: AlgebraSpec):
-        rs = self._rules.get(id(spec))
-        if rs is None:
-            rs = orient(spec)
-            self._rules[id(spec)] = rs
-        return rs
-
-    def confluent_rules(self, spec: AlgebraSpec):
-        """The rules of ``spec``, or :class:`NotConfluent` naming its first
-        unresolved overlap: there a nonzero normal form proves nothing."""
-        rs = self.rules_for(spec)
-        overlaps = rs.unresolved_overlaps()
-        if overlaps:
-            raise NotConfluent(f"not confluent: {_overlap_summary(overlaps)}")
-        return rs
+        """:func:`~qhcontract.rewrite.orient` of ``spec``; ``perfbench`` calls it."""
+        return orient(spec)
 
     def _define(self, name: str, obj, line) -> None:
         if name in self.names:
@@ -154,7 +142,11 @@ class Runner:
                 value = words[3][5:]
                 if value not in ("+1", "-1", "1"):
                     raise ParseError(f"bad sign {value!r}", lineno)
-                crosses[(words[1], words[2])] = 1 if value in ("+1", "1") else -1
+                pair = frozenset(words[1:3])
+                if pair in crosses:
+                    raise ParseError(f"cross sign for {words[1]!r} and {words[2]!r} "
+                                     "is already declared", lineno)
+                crosses[pair] = 1 if value in ("+1", "1") else -1
             elif words[0] == "rel":
                 rel_lines.append((lineno, line[len("rel"):].strip()))
             else:
@@ -211,8 +203,7 @@ class Runner:
 
     def _run_nf(self, node):
         spec = self.resolve_algebra(node.payload["algebra"], node.line)
-        # without confluence a normal form depends on the rewrite order
-        rs = self.confluent_rules(spec)
+        rs = confluent_rules(spec)
         nf = parse_expression(node.payload["expr"], spec, node.line, rules=rs)
         return [Verdict(node.text, "verified", details=(f"normal form: {nf}",))]
 
@@ -249,11 +240,10 @@ class Runner:
             raise ParseError("rtt expects a 4x4 scalar matrix", node.line)
         if len(spec.generators) < 4:
             raise ArityError("rtt needs an algebra with at least 4 generators", node.line)
-        res = rtt_residual(mat, grgroup.entry_matrix(spec), self.rules_for(spec),
-                           node.payload["sign"])
+        res = rtt_residual(mat, grgroup.entry_matrix(spec), node.payload["sign"])
         if res.is_zero():  # zero normal forms prove membership on any system
             return [Verdict(node.text, "verified")]
-        self.confluent_rules(spec)
+        confluent_rules(spec)
         i, j, e = res.nonzero_entries()[0]
         return [Verdict(node.text, "falsified", witness=f"entry ({i},{j}): {e}")]
 
@@ -269,9 +259,10 @@ class Runner:
             gen_name = gen_name.strip()
             if not source.has_generator(gen_name):
                 raise UnknownName(f"{gen_name!r} is not a generator of {source.name!r}", lineno)
-            images[source.generator_named(gen_name).gid] = parse_expression(
-                expr_text.strip(), target, lineno
-            )
+            gid = source.generator_named(gen_name).gid
+            if gid in images:
+                raise ParseError(f"{gen_name!r} is already substituted", lineno)
+            images[gid] = parse_expression(expr_text.strip(), target, lineno)
         c = contract_relations(Substitution(source, target, images))
         details = ["limiting relations:"]
         details += [f"  {e}" for e in c.limit.to_elements()]
@@ -301,7 +292,7 @@ class Runner:
 
     def _run_inverse_check(self, node):
         grh = self.builtin_algebras["GRh2"]
-        report = grgroup.inverse_check(grh, self.rules_for(grh))
+        report = grgroup.inverse_check(grh)
         out = []
         for label, residual in (
             ("left inverse times generator matrix", report.left_residual),
@@ -318,15 +309,14 @@ class Runner:
 
     def _run_product_check(self, node):
         spec = self.builtin_algebras["GRq2xGRq2"]
-        rs = self.rules_for(spec)
         out = []
-        for label, residual in grgroup.product_theorem(spec, rs):
+        for label, residual in grgroup.product_theorem(spec):
             command = f"{node.text} [{label}]"
             if residual.is_zero():
                 out.append(Verdict(command, "verified"))
             else:
                 out.append(Verdict(command, "falsified", witness=str(residual)))
-        even = grgroup.product_entries_even(spec, rs)
+        even = grgroup.product_entries_even(spec)
         out.append(
             Verdict(
                 f"{node.text} [entries are even]",
@@ -338,7 +328,7 @@ class Runner:
 
     def _run_confluence(self, node):
         spec = self.resolve_algebra(node.payload["args"][0], node.line)
-        rs = self.rules_for(spec)
+        rs = orient(spec)
         witnesses = rs.unresolved_overlaps()
         if not witnesses:
             detail = (f"confluent in every degree (diamond lemma: "
@@ -348,7 +338,7 @@ class Runner:
             Verdict(
                 node.text,
                 "falsified",
-                witness=_overlap_summary(witnesses),
+                witness=overlap_summary(witnesses),
                 details=tuple(x.describe() for x in witnesses),
             )
         ]
@@ -366,10 +356,6 @@ class Runner:
                 )
             )
         return out
-
-
-def _overlap_summary(witnesses) -> str:
-    return f"{witnesses[0].describe()} (+{len(witnesses) - 1} more)"
 
 
 # -- reporting ----------------------------------------------------------------------

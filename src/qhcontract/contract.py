@@ -171,13 +171,9 @@ class RelationSpan:
         return f"RelationSpan({len(self.rows)} rows, rank {self.rank()})"
 
 
-def relation_span(relations, algebra: AlgebraSpec | None = None) -> RelationSpan:
-    """Coordinates of quadratic relations in the full degree-2 word basis."""
-    relations = list(relations)
-    if algebra is None:
-        if not relations:
-            raise ValueError("an algebra is required for an empty relation list")
-        algebra = relations[0].algebra
+def relation_span(relations, algebra: AlgebraSpec) -> RelationSpan:
+    """Coordinates of quadratic relations of ``algebra`` in the full degree-2
+    word basis."""
     basis = algebra.degree2_words()
     rows = []
     for r in relations:

@@ -10,7 +10,11 @@ the homomorphic extension behind every ``Substitution``.
 
 Generator precedences are part of each presentation and were chosen so that
 every relation set orients with unit leading coefficients (orientation
-validates this).
+validates this).  Every normal form here is taken with the rules that
+:func:`~qhcontract.rewrite.orient` keeps for the algebra in question, and
+the covariance derivation first passes
+:func:`~qhcontract.rewrite.confluent_rules`, since its entry relations are
+read off normal words.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import NamedTuple
 from .coeffring import Coeff
 from .contract import RelationSpan, Substitution, extend, relation_span
 from .matalg import AlgMat, ScalMat
-from .rewrite import NotConfluent, orient
+from .rewrite import confluent_rules, orient
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -218,10 +222,8 @@ def rh_matrix(h=None) -> ScalMat:
 # -- substitutions ----------------------------------------------------------------
 
 
-def q_to_h_substitution(grq=None, grh=None, h=None) -> Substitution:
+def q_to_h_substitution(grq: AlgebraSpec, grh: AlgebraSpec, h=None) -> Substitution:
     """Images of the q-generators after conjugating by g: the contraction map."""
-    grq = grq or gr_q2()
-    grh = grh or gr_h2(h)
     f = _f(h)
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
     return Substitution.by_name(
@@ -236,10 +238,8 @@ def q_to_h_substitution(grq=None, grh=None, h=None) -> Substitution:
     )
 
 
-def h_to_q_substitution(grh=None, grq=None, h=None) -> Substitution:
+def h_to_q_substitution(grh: AlgebraSpec, grq: AlgebraSpec, h=None) -> Substitution:
     """Inverse change of generators, back into the q-presentation."""
-    grh = grh or gr_h2(h)
-    grq = grq or gr_q2()
     f = _f(h)
     a, b, c, d = grq.gen_elements("alpha' beta' gamma' delta'")
     return Substitution.by_name(
@@ -254,18 +254,14 @@ def h_to_q_substitution(grh=None, grq=None, h=None) -> Substitution:
     )
 
 
-def plane_substitution(qp=None, hp=None, h=None) -> Substitution:
+def plane_substitution(qp: AlgebraSpec, hp: AlgebraSpec, h=None) -> Substitution:
     """Change of plane coordinates: new = g * old on column vectors."""
-    qp = qp or q_plane()
-    hp = hp or h_plane(h)
     f = _f(h)
     x, y = hp.gen_elements("x y")
     return Substitution.by_name(qp, hp, {"x'": x + f * y, "y'": y})
 
 
-def dual_plane_substitution(qdp=None, hdp=None, h=None) -> Substitution:
-    qdp = qdp or q_dual_plane()
-    hdp = hdp or h_dual_plane(h)
+def dual_plane_substitution(qdp: AlgebraSpec, hdp: AlgebraSpec, h=None) -> Substitution:
     f = _f(h)
     eta, xi = hdp.gen_elements("eta xi")
     return Substitution.by_name(qdp, hdp, {"eta'": eta + f * xi, "xi'": xi})
@@ -275,26 +271,24 @@ def dual_plane_substitution(qdp=None, hdp=None, h=None) -> Substitution:
 
 
 class CovarianceProblem(NamedTuple):
-    """A generic odd 2x2 matrix mapping one plane's points into another's.
-
-    ``entry_coordinate_sign`` is the declared swap sign between the entry
-    family and the source coordinates: +1 for plane coordinates, -1 for
-    dual-plane coordinates.
-    """
+    """A generic odd 2x2 matrix mapping one plane's points into another's."""
 
     transformation: AlgMat
-    source: AlgebraSpec
     target: AlgebraSpec
-    entry_coordinate_sign: int
     combined: AlgebraSpec
     coord_gids: tuple
 
 
 def covariance_problem(source: AlgebraSpec, target: AlgebraSpec,
-                       entry_sign: int, entry_pattern=None) -> CovarianceProblem:
-    """Combined algebra of four generic odd entries and the source coordinates."""
-    pattern = entry_pattern or gr_h2()
-    entry_gens = pattern.generators[:4]
+                       entry_sign: int, entry_pattern: AlgebraSpec) -> CovarianceProblem:
+    """Combined algebra of four generic odd entries, named after the first
+    four generators of ``entry_pattern``, and the source coordinates.
+
+    ``entry_sign`` is the declared swap sign between the entry family and
+    the source coordinates: +1 for plane coordinates, -1 for dual-plane
+    coordinates.
+    """
+    entry_gens = entry_pattern.generators[:4]
     gens = [(g.name, "odd", "entry", g.prec) for g in entry_gens]
     for g in source.generators:
         gens.append((g.name, g.parity, "coord", 4 + g.prec))
@@ -312,9 +306,7 @@ def covariance_problem(source: AlgebraSpec, target: AlgebraSpec,
     coord_gids = tuple(
         combined.generator_named(g.name).gid for g in source.generators
     )
-    return CovarianceProblem(
-        AlgMat(combined, rows), source, target, entry_sign, combined, coord_gids
-    )
+    return CovarianceProblem(AlgMat(combined, rows), target, combined, coord_gids)
 
 
 def _remap(e: Element, into: AlgebraSpec) -> Element:
@@ -325,23 +317,18 @@ def _remap(e: Element, into: AlgebraSpec) -> Element:
     return Element(into, out)
 
 
-def covariance_relations(problem: CovarianceProblem, into=None):
+def covariance_relations(problem: CovarianceProblem, into: AlgebraSpec):
     """Entry relations forced by requiring the images of points under the
     transformation to satisfy the target plane's relations.
 
     Each target relation is substituted, the entries are pushed left of the
     coordinates with the declared sign, the coordinate factors are reduced to
     the source plane's normal-form words, and the entry coefficient of every
-    surviving coordinate word is returned as a relation.
+    surviving coordinate word is returned as a relation of ``into``.  The
+    target plane and the combined system must both be confluent.
     """
-    into = into or gr_h2()
-    if orient(problem.target).unresolved_overlaps():
-        raise NotConfluent(f"target plane {problem.target.name!r} is not confluent")
-    rs = orient(problem.combined)
-    if rs.unresolved_overlaps():
-        raise NotConfluent(
-            f"combined system for {problem.combined.name!r} is not confluent"
-        )
+    confluent_rules(problem.target)
+    rs = confluent_rules(problem.combined)
     images = {}
     for i, tg in enumerate(problem.target.generators):
         img = problem.combined.zero()
@@ -368,9 +355,8 @@ def covariance_relations(problem: CovarianceProblem, into=None):
     return out
 
 
-def combined_covariance_span(into=None) -> RelationSpan:
+def combined_covariance_span(into: AlgebraSpec) -> RelationSpan:
     """Union of the entry relations from both transformation directions."""
-    into = into or gr_h2()
     plane_to_dual = covariance_problem(h_plane(), h_dual_plane(), +1, entry_pattern=into)
     dual_to_plane = covariance_problem(h_dual_plane(), h_plane(), -1, entry_pattern=into)
     rels = covariance_relations(plane_to_dual, into) + covariance_relations(
@@ -430,12 +416,10 @@ class InverseReport(NamedTuple):
         return self.exchange_residual.is_zero()
 
 
-def inverse_check(grh=None, rs=None, h=None) -> InverseReport:
+def inverse_check(grh: AlgebraSpec, h=None) -> InverseReport:
     """Check A_L^-1 * A = diag(D_L), A * A_R^-1 = diag(D_R) and
     D_L * A_R^-1 = A_L^-1 * D_R, with D_L multiplying entries from the left
     and D_R from the right, as written."""
-    grh = grh or gr_h2(h)
-    rs = rs or orient(grh)
     a_mat = entry_matrix(grh)
     left = left_inverse(grh, h)
     right = right_inverse(grh, h)
@@ -445,8 +429,8 @@ def inverse_check(grh=None, rs=None, h=None) -> InverseReport:
     def diag(e):
         return AlgMat(grh, [[e, grh.zero()], [grh.zero(), e]])
 
-    left_res = (left.mat_mul(a_mat) - diag(dl)).normal_form(rs)
-    right_res = (a_mat.mat_mul(right) - diag(dr)).normal_form(rs)
+    left_res = (left.mat_mul(a_mat) - diag(dl)).normal_form()
+    right_res = (a_mat.mat_mul(right) - diag(dr)).normal_form()
     exch = AlgMat(
         grh,
         [
@@ -456,7 +440,7 @@ def inverse_check(grh=None, rs=None, h=None) -> InverseReport:
             ]
             for i in range(2)
         ],
-    ).normal_form(rs)
+    ).normal_form()
     return InverseReport(left_res, right_res, exch)
 
 
@@ -484,9 +468,8 @@ def product_pair_algebra() -> AlgebraSpec:
     return spec
 
 
-def product_entries(spec=None):
+def product_entries(spec: AlgebraSpec):
     """Entries of the product of the two generator matrices, in matrix order."""
-    spec = spec or product_pair_algebra()
     a1, b1, c1, d1 = spec.gen_elements("alpha beta gamma delta")
     a2, b2, c2, d2 = spec.gen_elements("alpha' beta' gamma' delta'")
     return {
@@ -497,10 +480,9 @@ def product_entries(spec=None):
     }
 
 
-def product_theorem(spec=None, rs=None):
+def product_theorem(spec: AlgebraSpec):
     """Residuals of the six q-commutation relations for the product entries."""
-    spec = spec or product_pair_algebra()
-    rs = rs or orient(spec)
+    rs = orient(spec)
     e = product_entries(spec)
     a, b, c, d = e["a"], e["b"], e["c"], e["d"]
     q = Coeff.q()
@@ -516,10 +498,9 @@ def product_theorem(spec=None, rs=None):
     return [(label, rs.normal_form(expr)) for label, expr in checks]
 
 
-def product_entries_even(spec=None, rs=None) -> bool:
+def product_entries_even(spec: AlgebraSpec) -> bool:
     """Every normal-form word of the product entries has even length."""
-    spec = spec or product_pair_algebra()
-    rs = rs or orient(spec)
+    rs = orient(spec)
     return all(
         len(w) % 2 == 0
         for e in product_entries(spec).values()

@@ -4,12 +4,15 @@ ScalMat holds Coeff entries (the change-of-basis matrix g and the
 R-matrices), AlgMat holds Element entries (the generator matrices and
 their tensor embeddings).  The two tensor-leg embeddings and the three
 QYBE legs are spelled out with explicit Kronecker deltas and insert no
-signs: all sign effects come from the relation rewriting.
+signs: all sign effects come from the relation rewriting, with the rule
+system that :func:`~qhcontract.rewrite.orient` keeps for the matrix's
+algebra.
 """
 
 from __future__ import annotations
 
 from .coeffring import Coeff, PoleAtQ1, coeff
+from .rewrite import orient
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -110,33 +113,13 @@ class ScalMat:
             out.append(new)
         return ScalMat(out)
 
-    def is_upper_unitriangular(self) -> bool:
-        one = Coeff.one()
-        for i in range(self.n):
-            if self.rows[i][i] != one:
-                return False
-            for j in range(i):
-                if self.rows[i][j]:
-                    return False
-        return True
-
     def inverse(self) -> "ScalMat":
         """Exact inverse over the localized ring.
 
-        Upper unitriangular matrices are back-substituted directly; anything
-        else goes through Gauss-Jordan elimination, which needs a unit pivot
-        in every column and raises NotInvertible otherwise.
+        Gauss-Jordan elimination needs a unit pivot in every column and
+        raises NotInvertible otherwise.
         """
         n = self.n
-        if self.is_upper_unitriangular():
-            inv = [[Coeff.one() if i == j else Coeff.zero() for j in range(n)] for i in range(n)]
-            for i in range(n - 1, -1, -1):
-                for j in range(i + 1, n):
-                    c = self.rows[i][j]
-                    if c:
-                        for k in range(n):
-                            inv[i][k] = inv[i][k] - c * inv[j][k]
-            return ScalMat(inv)
         aug = [
             [c for c in self.rows[i]]
             + [Coeff.one() if i == j else Coeff.zero() for j in range(n)]
@@ -288,7 +271,9 @@ class AlgMat:
     def scale(self, c) -> "AlgMat":
         return AlgMat(self.algebra, [[e.scale(c) for e in row] for row in self.rows])
 
-    def normal_form(self, rs) -> "AlgMat":
+    def normal_form(self) -> "AlgMat":
+        """Every entry in normal form under the rules of the algebra."""
+        rs = orient(self.algebra)
         return AlgMat(self.algebra, [[rs.normal_form(e) for e in row] for row in self.rows])
 
     def nonzero_entries(self):
@@ -345,8 +330,8 @@ def embed2(a: AlgMat) -> AlgMat:
     return AlgMat(alg, out)
 
 
-def rtt_residual(r: ScalMat, a: AlgMat, rs, sign: int = -1) -> AlgMat:
-    """Normal form of R*A1*A2 - sign*A2*A1*R entrywise.
+def rtt_residual(r: ScalMat, a: AlgMat, sign: int) -> AlgMat:
+    """Normal form of R*A1*A2 - sign*A2*A1*R entrywise, in the algebra of A.
 
     The identity R A1 A2 = sign * A2 A1 R holds iff every entry of the
     result is zero.  Both anticommuting-entry identities in scope use
@@ -359,4 +344,4 @@ def rtt_residual(r: ScalMat, a: AlgMat, rs, sign: int = -1) -> AlgMat:
     lifted = _lift(r, a.algebra)
     lhs = lifted.mat_mul(a1.mat_mul(a2))
     rhs = a2.mat_mul(a1).mat_mul(lifted).scale(sign)
-    return (lhs - rhs).normal_form(rs)
+    return (lhs - rhs).normal_form()

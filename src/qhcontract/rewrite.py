@@ -20,7 +20,13 @@ every rule is quadratic and the word order is degree-lexicographic, so the
 system is confluent in every degree exactly when each overlap ``abc``, with
 ``ab`` and ``bc`` both left-hand sides, reduces to one normal form from
 both redexes (:meth:`RuleSystem.unresolved_overlaps`).  Unresolved
-overlaps are returned as data, not raised.
+overlaps are returned as data; :func:`confluent_rules` is the one guard
+that raises :class:`NotConfluent` for callers whose answer needs unique
+normal forms.
+
+The rule system belongs to its algebra: :func:`orient` builds it on the
+first call and keeps it on the :class:`AlgebraSpec`, whose relations are
+frozen from then on, so every caller reduces with the same rules.
 """
 
 from __future__ import annotations
@@ -169,12 +175,18 @@ class RuleSystem:
 
 
 def orient(spec: AlgebraSpec) -> RuleSystem:
-    """Build the rule system of a quadratic presentation.
+    """The rule system of a quadratic presentation, built on the first call.
 
     Relations sharing a leading word are inter-reduced first (full reduced
     echelon form, pivot = largest word, unit pivot required), then each
     surviving row `lhs + tail` becomes the rule `lhs -> -tail`.
+
+    The result is kept on ``spec`` and returned by every later call; after
+    that, :meth:`AlgebraSpec.add_relation` refuses, since the kept rules
+    would go stale.  A failed orientation keeps nothing.
     """
+    if spec._rules is not None:
+        return spec._rules
     for fam_a, fam_b in itertools.combinations(sorted(spec.families()), 2):
         if spec.cross(fam_a, fam_b) is None:
             raise OrientationFailure(
@@ -246,4 +258,21 @@ def orient(spec: AlgebraSpec) -> RuleSystem:
     for r in spec.relations:
         if not system.normal_form(r).is_zero():
             raise OrientationFailure(f"declared relation {r} does not reduce to 0")
+    spec._rules = system
     return system
+
+
+def confluent_rules(spec: AlgebraSpec) -> RuleSystem:
+    """The rules of ``spec``, or :class:`NotConfluent` naming its first
+    unresolved overlap: without confluence a normal form depends on the
+    rewrite order, and a nonzero one proves nothing."""
+    rs = orient(spec)
+    overlaps = rs.unresolved_overlaps()
+    if overlaps:
+        raise NotConfluent(f"not confluent: {overlap_summary(overlaps)}")
+    return rs
+
+
+def overlap_summary(witnesses) -> str:
+    """The first unresolved overlap and how many more there are."""
+    return f"{witnesses[0].describe()} (+{len(witnesses) - 1} more)"

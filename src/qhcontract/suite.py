@@ -81,7 +81,7 @@ def check_covariance() -> CheckResult:
 
 def check_q_rtt() -> CheckResult:
     grq = grgroup.gr_q2()
-    res = rtt_residual(grgroup.rq_matrix(), grgroup.entry_matrix(grq), orient(grq), sign=-1)
+    res = rtt_residual(grgroup.rq_matrix(), grgroup.entry_matrix(grq), sign=-1)
     ok = res.is_zero()
     return CheckResult(
         5,
@@ -108,7 +108,7 @@ def check_r_matrix_contraction() -> CheckResult:
 
 def check_h_rtt() -> CheckResult:
     grh = grgroup.gr_h2()
-    res = rtt_residual(grgroup.rh_matrix(), grgroup.entry_matrix(grh), orient(grh), sign=-1)
+    res = rtt_residual(grgroup.rh_matrix(), grgroup.entry_matrix(grh), sign=-1)
     ok = res.is_zero()
     return CheckResult(
         7,
@@ -145,7 +145,7 @@ def check_rq_limit() -> CheckResult:
 
 def check_inverses() -> CheckResult:
     grh = grgroup.gr_h2()
-    report = grgroup.inverse_check(grh, orient(grh))
+    report = grgroup.inverse_check(grh)
     ok = report.left_ok and report.right_ok and report.exchange_ok
     pieces = []
     if not report.left_ok:
@@ -171,9 +171,8 @@ def check_inverses() -> CheckResult:
 
 def check_product_theorem() -> CheckResult:
     spec = grgroup.product_pair_algebra()
-    rs = orient(spec)
-    bad = [label for label, res in grgroup.product_theorem(spec, rs) if not res.is_zero()]
-    even = grgroup.product_entries_even(spec, rs)
+    bad = [label for label, res in grgroup.product_theorem(spec) if not res.is_zero()]
+    even = grgroup.product_entries_even(spec)
     ok = not bad and even
     witness = None
     if bad:

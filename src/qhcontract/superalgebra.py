@@ -54,7 +54,8 @@ class AlgebraSpec:
 
     Relations are attached with :meth:`add_relation` and must be homogeneous
     of degree 2; every relation set in scope is quadratic and the rewrite
-    engine depends on it.  Instances are treated as frozen once populated.
+    engine depends on it.  Once :func:`~qhcontract.rewrite.orient` has built
+    the rule system, which it keeps here, the relations are frozen.
     """
 
     def __init__(self, name: str, generators, cross_sign=None):
@@ -66,6 +67,7 @@ class AlgebraSpec:
                 raise ValueError(f"cross sign must be +1 or -1, got {sign}")
             self.cross_sign[frozenset(fams)] = sign
         self.relations = []
+        self._rules = None  # the RuleSystem, written only by rewrite.orient
         self._shared_coeffs = {}
         self._by_name = {}
         self._prec = [0] * len(self.generators)
@@ -163,6 +165,8 @@ class AlgebraSpec:
         return words
 
     def add_relation(self, elem: "Element") -> None:
+        if self._rules is not None:
+            raise ValueError(f"the relations of {self.name!r} are frozen: its rules are oriented")
         if elem.algebra is not self:
             raise ValueError("relation belongs to a different algebra")
         if elem.is_zero():

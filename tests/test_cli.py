@@ -122,6 +122,22 @@ def test_duplicate_definition_is_an_error():
     assert "already defined" in verdicts[0].witness
 
 
+@pytest.mark.parametrize("second, pair", [
+    ("f g sign=-1", "'f' and 'g'"),
+    ("g f sign=-1", "'g' and 'f'"),
+    ("g f sign=+1", "'g' and 'f'"),
+])
+def test_second_cross_sign_for_a_pair_is_an_error(second, pair):
+    # AlgebraSpec keys its signs by the unordered pair of families
+    verdicts, _ = run_script(
+        "algebra two\n gen u family=f\n gen v family=g\n cross f g sign=+1\n"
+        f" cross {second}\nend\nnf two \"v*u\"\n"
+    )
+    assert [(v.status, v.witness) for v in verdicts] == [
+        ("error", f"line 5: cross sign for {pair} is already declared")
+    ]
+
+
 def test_matrix_definition_scalar_and_algebra():
     verdicts, runner = run_script(
         """
@@ -132,7 +148,7 @@ def test_matrix_definition_scalar_and_algebra():
     assert verdicts == []
     m = runner.names["M"]
     assert isinstance(m, ScalMat) and m.rows[0][1] == H / (Q - 1)
-    assert runner.names["A"].rows[1][0] == gr_h2().gen_element("gamma") or True
+    assert runner.names["A"].rows[1][0] == runner.builtin_algebras["GRh2"].gen_element("gamma")
 
 
 def test_matrix_arity_errors():

@@ -11,7 +11,6 @@ from qhcontract.matalg import (
     rtt_residual,
     similarity,
 )
-from qhcontract.rewrite import orient
 from qhcontract.grgroup import (
     entry_matrix,
     g_matrix,
@@ -30,7 +29,8 @@ F = H / (Q - ONE)
 
 def test_kron_of_g_is_unitriangular_with_f():
     gg = g_matrix().kron(g_matrix())
-    assert gg.is_upper_unitriangular()
+    assert all(gg.rows[i][i] == ONE for i in range(4))
+    assert all(gg.rows[i][j].is_zero() for i in range(4) for j in range(i))
     assert gg.rows[0][1] == F and gg.rows[0][2] == F
     assert gg.rows[0][3] == F * F
     assert gg.rows[1][3] == F and gg.rows[2][3] == F
@@ -133,8 +133,7 @@ def test_mat_mul_scalar_matrices_agree_with_scalmat():
 
 def test_rtt_identity_matrix_with_plus_sign_is_nonzero():
     grq = gr_q2()
-    rs = orient(grq)
-    res = rtt_residual(ScalMat.identity(4), entry_matrix(grq), rs, sign=1)
+    res = rtt_residual(ScalMat.identity(4), entry_matrix(grq), sign=1)
     assert not res.is_zero()
     # row (1,1), column (1,2): alpha'*beta' - beta'*alpha' -> (1+q) alpha'*beta'
     a, b = grq.gen_elements("alpha' beta'")
@@ -143,11 +142,10 @@ def test_rtt_identity_matrix_with_plus_sign_is_nonzero():
 
 def test_rtt_residual_is_linear_in_r():
     grq = gr_q2()
-    rs = orient(grq)
     a = entry_matrix(grq)
     r1, r2 = rq_matrix(), ScalMat.identity(4).scale(H)
-    lhs = rtt_residual(r1 + r2, a, rs, sign=-1)
-    rhs = rtt_residual(r1, a, rs, sign=-1) + rtt_residual(r2, a, rs, sign=-1)
+    lhs = rtt_residual(r1 + r2, a, sign=-1)
+    rhs = rtt_residual(r1, a, sign=-1) + rtt_residual(r2, a, sign=-1)
     assert lhs == rhs
 
 

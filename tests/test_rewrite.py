@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from qhcontract.coeffring import Coeff
-from qhcontract.rewrite import OrientationFailure, RuleSystem, orient
+from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, confluent_rules,
+                                orient)
 from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.contract import relation_span
 from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
@@ -68,6 +70,37 @@ def test_orient_requires_unit_leading_coefficient():
     spec.add_relation((Q + Coeff.one()) * v * u + u * v)
     with pytest.raises(OrientationFailure):
         orient(spec)
+
+
+def test_orient_keeps_the_rules_on_the_algebra():
+    spec = h_plane()
+    rs = orient(spec)
+    assert orient(spec) is rs
+    assert confluent_rules(spec) is rs
+    x, y = spec.gen_elements("x y")
+    with pytest.raises(ValueError, match="frozen"):
+        spec.add_relation(x * x)
+    assert len(spec.relations) == 1 and orient(spec) is rs
+
+
+def test_failed_orientation_is_not_kept():
+    spec = AlgebraSpec.build("bad", [("u", "even", "f", 0), ("v", "even", "f", 1)])
+    u, v = spec.gen_elements("u v")
+    spec.add_relation((Q + Coeff.one()) * v * u + u * v)
+    for _ in range(2):
+        with pytest.raises(OrientationFailure):
+            orient(spec)
+    # the relations stay open, and v*u with a unit coefficient makes them orient
+    spec.add_relation(v * u)
+    assert orient(spec).rules == {(1, 0): spec.zero(), (0, 1): spec.zero()}
+
+
+def test_confluence_guard_text_is_the_nf_witness():
+    with pytest.raises(NotConfluent) as exc:
+        confluent_rules(demo_algebras("non_confluent")["cyc"])
+    recorded = (Path(__file__).parent / "data" / "demos" / "non_confluent.txt").read_text()
+    lines = recorded.splitlines()
+    assert lines[lines.index('[ERR ] nf cyc "z^3"') + 1] == f"       witness: {exc.value}"
 
 
 def test_orient_requires_cross_signs():
