@@ -2,22 +2,26 @@
 
 Scripts are parsed by :mod:`qhcontract.script` (commands: nf, limit, qybe,
 rtt, contract, covariance, inverse-check, product-check, confluence,
-verify-paper).  Every command produces one or more verdicts; the process
-exits 0 when all verdicts are verified, 1 when any is falsified, and 2 on
-error.  Any failure that is not a verdict, whatever its type, is reported
-as ``error: ...`` on stderr and also exits 2 (an unexpected exception is a
-bug in the checker and prints its traceback first), so exit 1 always
-means a falsified claim.  Every command reduces with the rule system that
-:func:`~qhcontract.rewrite.orient` keeps for its algebra.  ``nf``
-evaluates its expression in the quotient algebra, reducing each product as
-it is formed, and only on a rule system whose confluence is certified
-(:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal form
-would depend on the rewrite order, so it is an error that names the first
-unresolved overlap, and so is an ``rtt`` residual that does not reduce to
-zero.  ``confluence`` prints the same certificate.  A
-``contract`` block renders the :class:`~qhcontract.contract.Contraction`
-that :func:`~qhcontract.contract.contract_relations` returns, as the suite
-does.
+verify-paper).  Every command produces one or more
+:class:`~qhcontract.suite.Verdict` records, the record the battery returns,
+so ``verify-paper`` passes the battery's verdicts through as they are.  The
+process exits 0 when all verdicts are verified, 1 when any is falsified,
+and 2 on error.  Any failure that is not a verdict, whatever its type, is
+reported as ``error: ...`` on stderr and also exits 2 (an unexpected
+exception is a bug in the checker and prints its traceback first), so exit
+1 always means a falsified claim.  Every command reduces with the rule
+system that :func:`~qhcontract.rewrite.orient` keeps for its algebra.
+``nf`` evaluates its expression in the quotient algebra, reducing each
+product as it is formed, and only on a rule system whose confluence is
+certified (:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal
+form would depend on the rewrite order, so it is an error that names the
+first unresolved overlap.  ``rtt`` and ``inverse-check`` read their
+residuals with :func:`~qhcontract.suite.residual_verdict`, as the battery
+does, so a residual that does not reduce to zero is the same error there,
+and ``product-check`` reduces only on a certified system.  ``confluence``
+prints the same certificate.  A ``contract`` block renders the
+:class:`~qhcontract.contract.Contraction` that
+:func:`~qhcontract.contract.contract_relations` returns, as the suite does.
 Output is deterministic: identical scripts produce byte-identical reports.
 """
 
@@ -27,7 +31,6 @@ import argparse
 import os
 import sys
 import traceback
-from typing import NamedTuple
 
 from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
@@ -44,18 +47,12 @@ from .script import (  # parse_scalar is re-exported with the rest of the gramma
     parse_expression,
     parse_scalar,
     parse_script,
+    parse_sign,
 )
 from .superalgebra import AlgebraSpec
-from .suite import run_all
+from .suite import Verdict, residual_verdict, run_all
 
 # -- execution ---------------------------------------------------------------------
-
-
-class Verdict(NamedTuple):
-    command: str
-    status: str  # "verified" | "falsified" | "error"
-    witness: str | None = None
-    details: tuple = ()
 
 
 class Runner:
@@ -119,6 +116,7 @@ class Runner:
     def _run_algebra(self, node):
         gens = []
         crosses = {}
+        cross_lines = {}  # family pair -> line of its cross statement
         rel_lines = []
         for lineno, line in node.payload["body"]:
             words = line.split()
@@ -139,18 +137,25 @@ class Runner:
             elif words[0] == "cross":
                 if len(words) != 4 or not words[3].startswith("sign="):
                     raise ArityError("usage: cross <famA> <famB> sign=<+1|-1>", lineno)
-                value = words[3][5:]
-                if value not in ("+1", "-1", "1"):
-                    raise ParseError(f"bad sign {value!r}", lineno)
+                sign = parse_sign(words[3], lineno)
+                if words[1] == words[2]:
+                    raise ParseError(f"cross needs two different families, got {words[1]!r} twice",
+                                     lineno)
                 pair = frozenset(words[1:3])
                 if pair in crosses:
                     raise ParseError(f"cross sign for {words[1]!r} and {words[2]!r} "
                                      "is already declared", lineno)
-                crosses[pair] = 1 if value in ("+1", "1") else -1
+                crosses[pair] = sign
+                cross_lines[pair] = lineno
             elif words[0] == "rel":
                 rel_lines.append((lineno, line[len("rel"):].strip()))
             else:
                 raise ParseError(f"unknown algebra statement {words[0]!r}", lineno)
+        families = {family for _name, _parity, family, _prec in gens}
+        for pair, lineno in cross_lines.items():
+            missing = sorted(pair - families)
+            if missing:
+                raise ParseError(f"no generator is in family {missing[0]!r}", lineno)
         try:
             spec = AlgebraSpec.build(node.payload["name"], gens, crosses)
         except ValueError as exc:
@@ -241,11 +246,7 @@ class Runner:
         if len(spec.generators) < 4:
             raise ArityError("rtt needs an algebra with at least 4 generators", node.line)
         res = rtt_residual(mat, grgroup.entry_matrix(spec), node.payload["sign"])
-        if res.is_zero():  # zero normal forms prove membership on any system
-            return [Verdict(node.text, "verified")]
-        confluent_rules(spec)
-        i, j, e = res.nonzero_entries()[0]
-        return [Verdict(node.text, "falsified", witness=f"entry ({i},{j}): {e}")]
+        return [residual_verdict(node.text, res)]
 
     def _run_contract(self, node):
         source = self.resolve_algebra(node.payload["source"], node.line)
@@ -291,21 +292,15 @@ class Runner:
         return [Verdict(node.text, "falsified", witness=detail)]
 
     def _run_inverse_check(self, node):
-        grh = self.builtin_algebras["GRh2"]
-        report = grgroup.inverse_check(grh)
-        out = []
-        for label, residual in (
-            ("left inverse times generator matrix", report.left_residual),
-            ("generator matrix times right inverse", report.right_residual),
-            ("left/right determinant exchange", report.exchange_residual),
-        ):
-            command = f"{node.text} [{label}]"
-            if residual.is_zero():
-                out.append(Verdict(command, "verified"))
-            else:
-                i, j, e = residual.nonzero_entries()[0]
-                out.append(Verdict(command, "falsified", witness=f"entry ({i},{j}): {e}"))
-        return out
+        report = grgroup.inverse_check(self.builtin_algebras["GRh2"])
+        return [
+            residual_verdict(f"{node.text} [{label}]", residual)
+            for label, residual in (
+                ("left inverse times generator matrix", report.left_residual),
+                ("generator matrix times right inverse", report.right_residual),
+                ("left/right determinant exchange", report.exchange_residual),
+            )
+        ]
 
     def _run_product_check(self, node):
         spec = self.builtin_algebras["GRq2xGRq2"]
@@ -344,18 +339,7 @@ class Runner:
         ]
 
     def _run_verify_paper(self, node):
-        out = []
-        for result in run_all():
-            command = f"criterion {result.number}: {result.name}"
-            out.append(
-                Verdict(
-                    command,
-                    "verified" if result.ok else "falsified",
-                    witness=result.witness,
-                    details=result.details,
-                )
-            )
-        return out
+        return run_all()
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ Generator precedences are part of each presentation and were chosen so that
 every relation set orients with unit leading coefficients (orientation
 validates this).  Every normal form here is taken with the rules that
 :func:`~qhcontract.rewrite.orient` keeps for the algebra in question, and
-the covariance derivation first passes
-:func:`~qhcontract.rewrite.confluent_rules`, since its entry relations are
-read off normal words.
+the covariance derivation and the product theorem first pass
+:func:`~qhcontract.rewrite.confluent_rules`, since their relations and
+verdicts are read off normal words.  The inverse residuals are certified
+where they are read, by :func:`~qhcontract.suite.residual_verdict`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 from .coeffring import Coeff
 from .contract import RelationSpan, Substitution, extend, relation_span
 from .matalg import AlgMat, ScalMat
-from .rewrite import confluent_rules, orient
+from .rewrite import confluent_rules
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -403,18 +404,6 @@ class InverseReport(NamedTuple):
     right_residual: AlgMat
     exchange_residual: AlgMat
 
-    @property
-    def left_ok(self) -> bool:
-        return self.left_residual.is_zero()
-
-    @property
-    def right_ok(self) -> bool:
-        return self.right_residual.is_zero()
-
-    @property
-    def exchange_ok(self) -> bool:
-        return self.exchange_residual.is_zero()
-
 
 def inverse_check(grh: AlgebraSpec, h=None) -> InverseReport:
     """Check A_L^-1 * A = diag(D_L), A * A_R^-1 = diag(D_R) and
@@ -482,7 +471,7 @@ def product_entries(spec: AlgebraSpec):
 
 def product_theorem(spec: AlgebraSpec):
     """Residuals of the six q-commutation relations for the product entries."""
-    rs = orient(spec)
+    rs = confluent_rules(spec)
     e = product_entries(spec)
     a, b, c, d = e["a"], e["b"], e["c"], e["d"]
     q = Coeff.q()
@@ -500,7 +489,7 @@ def product_theorem(spec: AlgebraSpec):
 
 def product_entries_even(spec: AlgebraSpec) -> bool:
     """Every normal-form word of the product entries has even length."""
-    rs = orient(spec)
+    rs = confluent_rules(spec)
     return all(
         len(w) % 2 == 0
         for e in product_entries(spec).values()

@@ -77,8 +77,7 @@ MAX_LITERAL_DIGITS = 1000
 class _ExprParser:
     """Recursive-descent parser evaluating directly to an Element."""
 
-    def __init__(self, text: str, algebra: AlgebraSpec, line=None, col_base: int = 0,
-                 rules=None):
+    def __init__(self, text: str, algebra: AlgebraSpec, line=None, rules=None):
         self.algebra = algebra
         if rules is None:
             self.mul = Element.free_mul
@@ -92,17 +91,14 @@ class _ExprParser:
 
             self.mul = mul
         self.line = line
-        self.col_base = col_base
         self.tokens = []
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
-                raise ParseError(
-                    f"unexpected character {text[pos]!r}", line, col_base + pos + 1
-                )
+                raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
             if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), col_base + pos + 1))
+                self.tokens.append((m.lastgroup, m.group(), pos + 1))
             pos = m.end()
         self.i = 0
         self.depth = 0
@@ -244,7 +240,7 @@ def _as_scalar(e: Element):
 
 
 def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
-                     col_base: int = 0, rules=None) -> Element:
+                     rules=None) -> Element:
     """The value of ``text`` in ``algebra`` (the scalars when None).
 
     ``rules``, a :class:`~qhcontract.rewrite.RuleSystem` of ``algebra``,
@@ -253,12 +249,11 @@ def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
     system; the caller certifies it with
     :meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`.
     """
-    return _ExprParser(text, algebra if algebra is not None else _SCALARS,
-                       line, col_base, rules).parse()
+    return _ExprParser(text, algebra if algebra is not None else _SCALARS, line, rules).parse()
 
 
-def parse_scalar(text: str, line=None, col_base: int = 0) -> Coeff:
-    e = parse_expression(text, _SCALARS, line, col_base)
+def parse_scalar(text: str, line=None) -> Coeff:
+    e = parse_expression(text, _SCALARS, line)
     c = _as_scalar(e)
     if c is None:  # pragma: no cover - the scalar algebra has no generators
         raise ParseError("expected a scalar expression", line)
@@ -347,10 +342,7 @@ def parse_script(text: str):
             rest = words[1:]
             sign = -1
             if rest and rest[-1].startswith("sign="):
-                value = rest[-1][5:]
-                if value not in ("+1", "-1", "1"):
-                    raise ParseError(f"bad sign {value!r}", lineno)
-                sign = 1 if value in ("+1", "1") else -1
+                sign = parse_sign(rest[-1], lineno)
                 rest = rest[:-1]
             if len(rest) != 2:
                 raise ArityError("usage: rtt <rmatrix> <algebra> [sign=<+1|-1>]", lineno)
@@ -365,6 +357,14 @@ def parse_script(text: str):
         else:
             raise ParseError(f"unknown statement {head!r}", lineno)
     return nodes
+
+
+def parse_sign(word: str, lineno: int) -> int:
+    """The value of a ``sign=<+1|-1|1>`` word."""
+    value = word[len("sign="):]
+    if value not in ("+1", "-1", "1"):
+        raise ParseError(f"bad sign {value!r}", lineno)
+    return -1 if value == "-1" else 1
 
 
 def _block(lines, i: int, unclosed: str, lineno: int):

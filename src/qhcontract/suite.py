@@ -1,10 +1,18 @@
 """The full verification battery, one check per claim group.
 
 Each check runs a complete derivation from scratch and compares exactly;
-there are no tolerances anywhere.  The battery is what the command-line
-``verify-paper`` command executes, and the acceptance tests assert the
-same results one by one.  A falsified check reports a concrete nonzero
-witness; it is a statement about the claim, not about the engine.
+there are no tolerances anywhere.  Each check returns a
+:class:`Verdict` whose command is ``criterion N: <name>``; the battery is
+what the command-line ``verify-paper`` command executes, and the acceptance
+tests assert the same verdicts one by one.  A falsified check reports a
+concrete nonzero witness; it is a statement about the claim, not about the
+engine.
+
+:class:`Verdict` is also the record of every script command, and
+:func:`residual_verdict` is the one reading of a residual matrix of normal
+forms, for the battery and the ``rtt`` and ``inverse-check`` commands
+alike: a nonzero normal form is a witness only on a certified confluent
+rule system.
 """
 
 from __future__ import annotations
@@ -14,25 +22,47 @@ from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
 from .contract import contract_relations, relation_span, span_equal
-from .matalg import ScalMat, qybe_residual, rtt_residual, similarity
-from .rewrite import orient
+from .matalg import AlgMat, ScalMat, qybe_residual, rtt_residual, similarity
+from .rewrite import confluent_rules, orient
 from . import grgroup
 
 _SEED = 20260810
 
+# random samples per law in criterion 12
+PROPERTY_SAMPLES = 1000
 
-class CheckResult(NamedTuple):
-    number: int
-    name: str
-    ok: bool
+
+class Verdict(NamedTuple):
+    command: str
+    status: str  # "verified" | "falsified" | "error"
     witness: str | None = None
     details: tuple = ()
 
 
-def check_plane_contraction() -> CheckResult:
+def _verdict(number: int, name: str, ok: bool, witness=None, details=()) -> Verdict:
+    return Verdict(f"criterion {number}: {name}", "verified" if ok else "falsified",
+                   witness, details)
+
+
+def residual_verdict(command: str, residual: AlgMat) -> Verdict:
+    """Verified when every entry of ``residual``, a matrix of normal forms,
+    is zero: a zero normal form proves membership on any rule system.
+    Otherwise falsified, witnessed by the first nonzero entry, once
+    :func:`~qhcontract.rewrite.confluent_rules` has certified the system
+    (it raises :class:`~qhcontract.rewrite.NotConfluent` when it cannot)."""
+    entries = residual.nonzero_entries()
+    if not entries:
+        return Verdict(command, "verified")
+    confluent_rules(residual.algebra)
+    i, j, e = entries[0]
+    more = f" (+{len(entries) - 1} more)" if len(entries) > 1 else ""
+    return Verdict(command, "falsified", witness=f"entry ({i},{j}): {e}{more}")
+
+
+def check_plane_contraction() -> Verdict:
     qp, hp = grgroup.q_plane(), grgroup.h_plane()
     c = contract_relations(grgroup.plane_substitution(qp, hp))
-    return CheckResult(
+    return _verdict(
         1,
         "plane contraction reproduces the h-plane relation",
         c.ok,
@@ -41,10 +71,10 @@ def check_plane_contraction() -> CheckResult:
     )
 
 
-def check_dual_plane_contraction() -> CheckResult:
+def check_dual_plane_contraction() -> Verdict:
     qdp, hdp = grgroup.q_dual_plane(), grgroup.h_dual_plane()
     c = contract_relations(grgroup.dual_plane_substitution(qdp, hdp))
-    return CheckResult(
+    return _verdict(
         2,
         "dual plane contraction reproduces the h-dual relations",
         c.ok,
@@ -53,12 +83,12 @@ def check_dual_plane_contraction() -> CheckResult:
     )
 
 
-def check_relation_contraction() -> CheckResult:
+def check_relation_contraction() -> Verdict:
     grq, grh = grgroup.gr_q2(), grgroup.gr_h2()
     c = contract_relations(grgroup.q_to_h_substitution(grq, grh))
     ranks = (c.substituted.rank(), c.limit.rank(), c.target.rank())
     ok = c.ok and ranks == (10, 10, 10)
-    return CheckResult(
+    return _verdict(
         3,
         "substituted q-relations contract onto the h-relations (rank 10)",
         ok,
@@ -66,12 +96,12 @@ def check_relation_contraction() -> CheckResult:
     )
 
 
-def check_covariance() -> CheckResult:
+def check_covariance() -> Verdict:
     grh = grgroup.gr_h2()
     span = grgroup.combined_covariance_span(grh)
     target = relation_span(grh.relations, grh)
     ok = span.rank() == 10 and span_equal(span, target)
-    return CheckResult(
+    return _verdict(
         4,
         "covariance of both transformation directions spans the h-relations",
         ok,
@@ -79,25 +109,19 @@ def check_covariance() -> CheckResult:
     )
 
 
-def check_q_rtt() -> CheckResult:
+def check_q_rtt() -> Verdict:
     grq = grgroup.gr_q2()
     res = rtt_residual(grgroup.rq_matrix(), grgroup.entry_matrix(grq), sign=-1)
-    ok = res.is_zero()
-    return CheckResult(
-        5,
-        "q-side tensor relation R_q A1 A2 = -A2 A1 R_q",
-        ok,
-        None if ok else _first_alg_entry(res),
-    )
+    return residual_verdict("criterion 5: q-side tensor relation R_q A1 A2 = -A2 A1 R_q", res)
 
 
-def check_r_matrix_contraction() -> CheckResult:
+def check_r_matrix_contraction() -> Verdict:
     gg = grgroup.g_matrix().kron(grgroup.g_matrix())
     contracted = similarity(gg, grgroup.rq_matrix()).limit_q1().scale(
         Coeff.rational(1) / Coeff.rational(2)
     )
     ok = contracted == grgroup.rh_matrix()
-    return CheckResult(
+    return _verdict(
         6,
         "conjugated R_q has the stated q->1 limit after dividing by 2",
         ok,
@@ -106,19 +130,13 @@ def check_r_matrix_contraction() -> CheckResult:
     )
 
 
-def check_h_rtt() -> CheckResult:
+def check_h_rtt() -> Verdict:
     grh = grgroup.gr_h2()
     res = rtt_residual(grgroup.rh_matrix(), grgroup.entry_matrix(grh), sign=-1)
-    ok = res.is_zero()
-    return CheckResult(
-        7,
-        "h-side tensor relation R_h A1 A2 = -A2 A1 R_h",
-        ok,
-        None if ok else _first_alg_entry(res),
-    )
+    return residual_verdict("criterion 7: h-side tensor relation R_h A1 A2 = -A2 A1 R_h", res)
 
 
-def check_qybe() -> CheckResult:
+def check_qybe() -> Verdict:
     res_q = qybe_residual(grgroup.rq_matrix())
     res_h = qybe_residual(grgroup.rh_matrix())
     ok = (not res_q.is_zero()) and res_h.is_zero()
@@ -127,7 +145,7 @@ def check_qybe() -> CheckResult:
         witness = "R_q unexpectedly satisfies the Yang-Baxter equation"
     elif not res_h.is_zero():
         witness = "R_h residual " + res_h.entries_str()[0]
-    return CheckResult(
+    return _verdict(
         8,
         "R_q violates the Yang-Baxter equation, R_h satisfies it",
         ok,
@@ -138,38 +156,38 @@ def check_qybe() -> CheckResult:
     )
 
 
-def check_rq_limit() -> CheckResult:
+def check_rq_limit() -> Verdict:
     ok = grgroup.rq_matrix().limit_q1() == ScalMat.identity(4).scale(2)
-    return CheckResult(9, "R_q tends to twice the identity at q = 1", ok)
+    return _verdict(9, "R_q tends to twice the identity at q = 1", ok)
 
 
-def check_inverses() -> CheckResult:
-    grh = grgroup.gr_h2()
-    report = grgroup.inverse_check(grh)
-    ok = report.left_ok and report.right_ok and report.exchange_ok
-    pieces = []
-    if not report.left_ok:
-        pieces.append("left inverse: " + _first_alg_entry(report.left_residual))
-    if not report.right_ok:
-        pieces.append("right inverse: " + _first_alg_entry(report.right_residual))
-    if not report.exchange_ok:
-        pieces.append("determinant exchange: " + _first_alg_entry(report.exchange_residual))
-    return CheckResult(
+def check_inverses() -> Verdict:
+    report = grgroup.inverse_check(grgroup.gr_h2())
+    parts = [
+        residual_verdict(label, residual)
+        for label, residual in (
+            ("left inverse", report.left_residual),
+            ("right inverse", report.right_residual),
+            ("determinant exchange", report.exchange_residual),
+        )
+    ]
+    failed = [f"{v.command}: {v.witness}" for v in parts if v.status == "falsified"]
+    return _verdict(
         10,
         "one-sided inverses produce the stated determinants and exchange identity",
-        ok,
-        "; ".join(pieces) if pieces else None,
+        not failed,
+        "; ".join(failed) or None,
         (
             "the stated right inverse and right determinant fail as written; "
             "flipping both h-signs in the right inverse and using "
             "gamma*beta + delta*alpha makes every identity check out",
         )
-        if not ok
+        if failed
         else (),
     )
 
 
-def check_product_theorem() -> CheckResult:
+def check_product_theorem() -> Verdict:
     spec = grgroup.product_pair_algebra()
     bad = [label for label, res in grgroup.product_theorem(spec) if not res.is_zero()]
     even = grgroup.product_entries_even(spec)
@@ -179,7 +197,7 @@ def check_product_theorem() -> CheckResult:
         witness = "nonzero residuals: " + ", ".join(bad)
     elif not even:
         witness = "a product entry has an odd-length normal word"
-    return CheckResult(
+    return _verdict(
         11,
         "product of two anticommuting generator matrices satisfies the six "
         "q-commutation relations with even entries",
@@ -188,7 +206,7 @@ def check_product_theorem() -> CheckResult:
     )
 
 
-def check_property_battery(samples: int = 1000) -> CheckResult:
+def check_property_battery() -> Verdict:
     """Confluence, rewriting laws, scalar ring laws, substitution inverses."""
     rng = random.Random(_SEED)
     problems = []
@@ -199,7 +217,7 @@ def check_property_battery(samples: int = 1000) -> CheckResult:
         if rs.unresolved_overlaps():
             problems.append(f"{label} are not confluent")
 
-    for i in range(samples):
+    for i in range(PROPERTY_SAMPLES):
         _label, spec, rs = systems[i % 2]
         a = _random_element(rng, spec)
         b = _random_element(rng, spec)
@@ -216,7 +234,7 @@ def check_property_battery(samples: int = 1000) -> CheckResult:
 
     one = Coeff.one()
     qm1 = Coeff.q() - one
-    for i in range(samples):
+    for i in range(PROPERTY_SAMPLES):
         a, b, c = (_random_coeff(rng) for _ in range(3))
         if (a + b) + c != a + (b + c) or a * (b + c) != a * b + a * c or a * b != b * a:
             problems.append(f"scalar ring law failed on sample {i}")
@@ -241,10 +259,10 @@ def check_property_battery(samples: int = 1000) -> CheckResult:
         if s9.apply(s15.apply(e)) != e:
             problems.append(f"substitution round trip failed on {g.name}")
 
-    return CheckResult(
+    return _verdict(
         12,
-        f"property battery: confluence, rewriting and scalar laws on {samples} "
-        "random samples, substitution round trips",
+        "property battery: confluence, rewriting and scalar laws on "
+        f"{PROPERTY_SAMPLES} random samples, substitution round trips",
         not problems,
         "; ".join(problems) if problems else None,
     )
@@ -275,15 +293,6 @@ def _random_element(rng, spec, max_degree=2, max_terms=3):
     return Element(spec, terms)
 
 
-def _first_alg_entry(mat) -> str:
-    entries = mat.nonzero_entries()
-    if not entries:
-        return "all entries zero"
-    i, j, e = entries[0]
-    more = f" (+{len(entries) - 1} more)" if len(entries) > 1 else ""
-    return f"entry ({i},{j}): {e}{more}"
-
-
 ALL_CHECKS = (
     check_plane_contraction,
     check_dual_plane_contraction,
@@ -300,5 +309,5 @@ ALL_CHECKS = (
 )
 
 
-def run_all():
+def run_all() -> list[Verdict]:
     return [check() for check in ALL_CHECKS]

@@ -138,6 +138,33 @@ def test_second_cross_sign_for_a_pair_is_an_error(second, pair):
     ]
 
 
+@pytest.mark.parametrize("cross, witness", [
+    ("f f sign=-1", "line 4: cross needs two different families, got 'f' twice"),
+    ("f zz sign=+1", "line 4: no generator is in family 'zz'"),
+    ("zz f sign=+1\n gen w family=zz", None),  # gen lines may follow
+], ids=["same-family", "unknown-family", "family-declared-later"])
+def test_cross_must_name_two_families_that_exist(cross, witness):
+    # orientation would ignore either bad line and report v*u as normal
+    verdicts, _ = run_script(
+        f"algebra two\n gen u family=f\n gen v family=f\n cross {cross}\nend\nnf two \"v*u\"\n"
+    )
+    if witness is None:
+        assert [v.status for v in verdicts] == ["verified"]
+    else:
+        assert [(v.status, v.witness) for v in verdicts] == [("error", witness)]
+
+
+def test_rtt_and_cross_read_sign_the_same_way():
+    with pytest.raises(ParseError, match=r"^line 2: bad sign '2'$"):
+        parse_script("\nrtt builtin:Rh GRh2 sign=2\n")
+    verdicts, _ = run_script("algebra two\n gen u family=f\n gen v family=g\n cross f g sign=2\nend")
+    assert [(v.status, v.witness) for v in verdicts] == [("error", "line 4: bad sign '2'")]
+    verdicts, _ = run_script("rtt builtin:Rh GRh2 sign=1\nrtt builtin:Rh GRh2 sign=+1\n"
+                             "rtt builtin:Rh GRh2 sign=-1")
+    assert [v.status for v in verdicts] == ["falsified", "falsified", "verified"]
+    assert verdicts[0].witness == verdicts[1].witness
+
+
 def test_matrix_definition_scalar_and_algebra():
     verdicts, runner = run_script(
         """

@@ -142,7 +142,7 @@ def test_left_product_entry_before_reduction(grh):
 
 def test_left_inverse_identity_holds(grh, rules_h):
     rep = inverse_check(grh)
-    assert rep.left_ok
+    assert rep.left_residual.is_zero()
     prod = left_inverse(grh).mat_mul(entry_matrix(grh)).normal_form()
     dl = rules_h.normal_form(delta_left(grh))
     assert prod.rows[0][0] == dl and prod.rows[1][1] == dl
@@ -155,7 +155,7 @@ def test_left_inverse_h0_specialization():
     li = left_inverse(grh0, h=ZERO_H)
     assert li == AlgMat(grh0, [[d, b], [-c, -a]])
     rep = inverse_check(grh0, h=ZERO_H)
-    assert rep.left_ok
+    assert rep.left_residual.is_zero()
 
 
 def test_right_inverse_identity_fails_as_stated(grh, rules_h):
@@ -178,18 +178,18 @@ def test_right_inverse_identity_fails_as_stated(grh, rules_h):
     assert diag == rules_h.normal_form(c * b + d * a)
     assert diag != rules_h.normal_form(delta_right(grh))
     rep = inverse_check(grh)
-    assert not rep.right_ok
+    assert not rep.right_residual.is_zero()
 
 
 def test_determinant_exchange_fails_as_stated(grh):
     """With the stated matrices the exchange identity leaves the residual
     2*gamma*alpha*delta in entry (2,1); certified outside the rewriter."""
     rep = inverse_check(grh)
-    assert not rep.exchange_ok
+    assert not rep.exchange_residual.is_zero()
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
     assert rep.exchange_residual.rows[1][0] == 2 * (c * a * d)
     assert not in_ideal_component(grh, c * a * d)
-    assert inverse_check(grh).exchange_ok is False
+    assert inverse_check(grh).exchange_residual.is_zero() is False
 
 
 def test_swapped_exchange_also_fails(grh):
@@ -254,6 +254,25 @@ def test_product_theorem_all_relations(pair):
 def test_product_entries_are_even(pair):
     spec, rs = pair
     assert product_entries_even(spec)
+
+
+def test_product_verdicts_refuse_a_non_confluent_pair_algebra():
+    # the cyclic relations leave 4 overlaps unresolved; an uncertified
+    # reduction happens to leave every product entry even
+    names = "alpha beta gamma delta alpha' beta' gamma' delta'".split()
+    spec = AlgebraSpec.build(
+        "cyclic pair",
+        [(n, "odd", "first" if i < 4 else "second", i) for i, n in enumerate(names)],
+        {("first", "second"): -1},
+    )
+    a, b, c = spec.gen_elements("alpha beta gamma")
+    for lhs, rhs in ((a * b, c * c), (b * c, a * a), (c * a, b * b)):
+        spec.add_relation(lhs - rhs)
+    message = r"^not confluent: beta\*gamma\*alpha -> alpha\^3 \| beta\^3 \(\+3 more\)$"
+    with pytest.raises(NotConfluent, match=message):
+        product_entries_even(spec)
+    with pytest.raises(NotConfluent, match=message):
+        product_theorem(spec)
 
 
 def test_product_entry_sample(pair):
