@@ -15,13 +15,18 @@ system that :func:`~qhcontract.rewrite.orient` keeps for its algebra.
 product as it is formed, and only on a rule system whose confluence is
 certified (:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal
 form would depend on the rewrite order, so it is an error that names the
-first unresolved overlap.  ``rtt`` and ``inverse-check`` read their
-residuals with :func:`~qhcontract.suite.residual_verdict`, as the battery
-does, so a residual that does not reduce to zero is the same error there,
-and ``product-check`` reduces only on a certified system.  ``confluence``
-prints the same certificate.  A ``contract`` block renders the
-:class:`~qhcontract.contract.Contraction` that
-:func:`~qhcontract.contract.contract_relations` returns, as the suite does.
+first unresolved overlap.  ``rtt`` reads its residual with
+:func:`~qhcontract.suite.residual_verdict`, as the battery does, so a
+residual that does not reduce to zero is the same error there.
+``covariance``, ``inverse-check`` and ``product-check`` report the part
+verdicts of the battery's readers (:func:`~qhcontract.suite.covariance_verdict`,
+``inverse_verdicts``, ``product_verdicts``) on the builtin algebra, each
+labelled ``<command> [label]``, and ``covariance`` under its plain command.
+``confluence`` prints the same certificate.  A ``contract`` block renders
+the :class:`~qhcontract.contract.Contraction` that
+:func:`~qhcontract.contract.contract_relations` returns, as criteria 1-3
+do, with the same falsified witness.  The ``nf`` and ``qybe`` subcommands
+run their argument as a script command with no line number.
 Output is deterministic: identical scripts produce byte-identical reports.
 """
 
@@ -31,11 +36,11 @@ import argparse
 import os
 import sys
 import traceback
+from functools import partialmethod
 
 from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
-from .contract import (BadSubstitution, MissingImage, Substitution, contract_relations,
-                       relation_span, span_equal)
+from .contract import BadSubstitution, MissingImage, Substitution, contract_relations
 from .matalg import AlgMat, NotInvertible, ScalMat, qybe_residual, rtt_residual
 from .rewrite import NotConfluent, OrientationFailure, confluent_rules, orient, overlap_summary
 from .script import (  # parse_scalar is re-exported with the rest of the grammar
@@ -50,7 +55,8 @@ from .script import (  # parse_scalar is re-exported with the rest of the gramma
     parse_sign,
 )
 from .superalgebra import AlgebraSpec
-from .suite import Verdict, residual_verdict, run_all
+from .suite import (LIMIT_DIFFERS, Verdict, covariance_verdict, inverse_verdicts,
+                    product_verdicts, residual_verdict, run_all)
 
 # -- execution ---------------------------------------------------------------------
 
@@ -273,53 +279,19 @@ class Runner:
         )
         if c.ok:
             return [Verdict(node.text, "verified", details=tuple(details))]
-        return [
-            Verdict(
-                node.text,
-                "falsified",
-                witness="limiting span differs from the target relations",
-                details=tuple(details),
-            )
-        ]
+        return [Verdict(node.text, "falsified", witness=LIMIT_DIFFERS, details=tuple(details))]
 
     def _run_covariance(self, node):
-        grh = self.builtin_algebras["GRh2"]
-        span = grgroup.combined_covariance_span(grh)
-        goal = relation_span(grh.relations, grh)
-        detail = f"combined rank {span.rank()}, target rank {goal.rank()}"
-        if span_equal(span, goal):
-            return [Verdict(node.text, "verified", details=(detail,))]
-        return [Verdict(node.text, "falsified", witness=detail)]
+        return [covariance_verdict(self.builtin_algebras["GRh2"])._replace(command=node.text)]
 
-    def _run_inverse_check(self, node):
-        report = grgroup.inverse_check(self.builtin_algebras["GRh2"])
-        return [
-            residual_verdict(f"{node.text} [{label}]", residual)
-            for label, residual in (
-                ("left inverse times generator matrix", report.left_residual),
-                ("generator matrix times right inverse", report.right_residual),
-                ("left/right determinant exchange", report.exchange_residual),
-            )
-        ]
+    def _labelled_parts(self, node, reader, algebra):
+        """``reader``'s part verdicts on a builtin algebra, as ``<command> [label]``."""
+        return [v._replace(command=f"{node.text} [{v.command}]")
+                for v in reader(self.builtin_algebras[algebra])]
 
-    def _run_product_check(self, node):
-        spec = self.builtin_algebras["GRq2xGRq2"]
-        out = []
-        for label, residual in grgroup.product_theorem(spec):
-            command = f"{node.text} [{label}]"
-            if residual.is_zero():
-                out.append(Verdict(command, "verified"))
-            else:
-                out.append(Verdict(command, "falsified", witness=str(residual)))
-        even = grgroup.product_entries_even(spec)
-        out.append(
-            Verdict(
-                f"{node.text} [entries are even]",
-                "verified" if even else "falsified",
-                witness=None if even else "an entry has an odd-length normal word",
-            )
-        )
-        return out
+    _run_inverse_check = partialmethod(_labelled_parts, reader=inverse_verdicts, algebra="GRh2")
+    _run_product_check = partialmethod(_labelled_parts, reader=product_verdicts,
+                                       algebra="GRq2xGRq2")
 
     def _run_confluence(self, node):
         spec = self.resolve_algebra(node.payload["args"][0], node.line)
@@ -436,15 +408,14 @@ def main(argv=None) -> int:
                 nodes = parse_script(fh.read())
             verdicts = runner.run(nodes)
         elif args.command == "verify-paper":
-            verdicts = runner.run([Node("verify-paper", 0, "verify-paper", {"args": []})])
+            verdicts = runner.run([Node("verify-paper", None, "verify-paper", {"args": []})])
         elif args.command == "nf":
             name = _defined_name(args.algebra, runner, "algebra", "algebra")
-            expr = args.expr.replace('"', "")
-            node = Node("nf", 0, f'nf {name} "{expr}"', {"algebra": name, "expr": expr})
-            verdicts = runner.run([node])
+            text = f'nf {name} "{args.expr}"'
+            verdicts = runner.run([Node("nf", None, text, {"algebra": name, "expr": args.expr})])
         elif args.command == "qybe":
             name = _defined_name(args.rmatrix, runner, "mat", "matrix")
-            verdicts = runner.run([Node("qybe", 0, f"qybe {name}", {"args": [name]})])
+            verdicts = runner.run([Node("qybe", None, f"qybe {name}", {"args": [name]})])
         else:  # pragma: no cover
             parser.error("unknown command")
     except (ParseError, OSError) as exc:

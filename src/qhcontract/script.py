@@ -36,10 +36,8 @@ from .superalgebra import AlgebraSpec, Element
 
 class ParseError(Exception):
     def __init__(self, message: str, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = f"line {line}" + (f", column {col}" if col is not None else "") + ": "
-        super().__init__(loc + message)
+        loc = ", ".join(f"{k} {v}" for k, v in (("line", line), ("column", col)) if v is not None)
+        super().__init__(f"{loc}: {message}" if loc else message)
 
 
 class UnknownName(ParseError):
@@ -265,7 +263,7 @@ def parse_scalar(text: str, line=None) -> Coeff:
 
 class Node(NamedTuple):
     kind: str
-    line: int
+    line: int | None  # None for a command given on the command line
     text: str
     payload: dict
 

@@ -12,7 +12,12 @@ engine.
 :func:`residual_verdict` is the one reading of a residual matrix of normal
 forms, for the battery and the ``rtt`` and ``inverse-check`` commands
 alike: a nonzero normal form is a witness only on a certified confluent
-rule system.
+rule system.  Three claims have one reader each, which returns part
+verdicts whose commands are their labels: :func:`covariance_verdict`,
+:func:`inverse_verdicts` and :func:`product_verdicts`.  The ``covariance``,
+``inverse-check`` and ``product-check`` commands report those parts, and
+criteria 4, 10 and 11 fold them: verified when every part is, otherwise
+witnessed by ``label: witness`` of each failed part, joined with ``; ``.
 """
 
 from __future__ import annotations
@@ -24,12 +29,16 @@ from .coeffring import Coeff, QHPoly
 from .contract import contract_relations, relation_span, span_equal
 from .matalg import AlgMat, ScalMat, qybe_residual, rtt_residual, similarity
 from .rewrite import confluent_rules, orient
+from .superalgebra import AlgebraSpec
 from . import grgroup
 
 _SEED = 20260810
 
 # random samples per law in criterion 12
 PROPERTY_SAMPLES = 1000
+
+# the witness of a contraction whose limit is not the target span
+LIMIT_DIFFERS = "limiting span differs from the target relations"
 
 
 class Verdict(NamedTuple):
@@ -59,27 +68,66 @@ def residual_verdict(command: str, residual: AlgMat) -> Verdict:
     return Verdict(command, "falsified", witness=f"entry ({i},{j}): {e}{more}")
 
 
+def _fold(number: int, name: str, parts, note=None) -> Verdict:
+    """Criterion ``number`` of its part verdicts: verified when every part
+    is, else witnessed by each failed part's ``label: witness``, joined with
+    ``; ``, with ``note`` as its detail."""
+    failed = [f"{v.command}: {v.witness}" for v in parts if v.status != "verified"]
+    return _verdict(number, name, not failed, "; ".join(failed) or None,
+                    (note,) if failed and note else ())
+
+
+def covariance_verdict(grh: AlgebraSpec) -> Verdict:
+    """Both covariance directions together span exactly the relations of ``grh``."""
+    span = grgroup.combined_covariance_span(grh)
+    goal = relation_span(grh.relations, grh)
+    detail = f"combined rank {span.rank()}, target rank {goal.rank()}"
+    if span_equal(span, goal):
+        return Verdict("covariance", "verified", details=(detail,))
+    return Verdict("covariance", "falsified", witness=detail)
+
+
+def inverse_verdicts(grh: AlgebraSpec) -> list[Verdict]:
+    """The left inverse, right inverse and determinant exchange identities of
+    :func:`~qhcontract.grgroup.inverse_check`, one residual verdict each."""
+    labels = ("left inverse", "right inverse", "determinant exchange")
+    return [residual_verdict(label, res)
+            for label, res in zip(labels, grgroup.inverse_check(grh))]
+
+
+def product_verdicts(spec: AlgebraSpec) -> list[Verdict]:
+    """The six relation residuals of :func:`~qhcontract.grgroup.product_theorem`,
+    each witnessed by its normal form, then ``entries are even``."""
+    parts = [
+        Verdict(label, "verified") if res.is_zero()
+        else Verdict(label, "falsified", witness=str(res))
+        for label, res in grgroup.product_theorem(spec)
+    ]
+    even = grgroup.product_entries_even(spec)
+    parts.append(Verdict("entries are even", "verified" if even else "falsified",
+                         None if even else "a product entry has an odd-length normal word"))
+    return parts
+
+
+def _contraction_verdict(number: int, name: str, substitution) -> Verdict:
+    c = contract_relations(substitution)
+    return _verdict(number, name, c.ok, None if c.ok else LIMIT_DIFFERS,
+                    tuple(str(e) for e in c.limit.to_elements()))
+
+
 def check_plane_contraction() -> Verdict:
-    qp, hp = grgroup.q_plane(), grgroup.h_plane()
-    c = contract_relations(grgroup.plane_substitution(qp, hp))
-    return _verdict(
+    return _contraction_verdict(
         1,
         "plane contraction reproduces the h-plane relation",
-        c.ok,
-        None if c.ok else f"limit span rank {c.limit.rank()} differs from target",
-        tuple(str(e) for e in c.limit.to_elements()),
+        grgroup.plane_substitution(grgroup.q_plane(), grgroup.h_plane()),
     )
 
 
 def check_dual_plane_contraction() -> Verdict:
-    qdp, hdp = grgroup.q_dual_plane(), grgroup.h_dual_plane()
-    c = contract_relations(grgroup.dual_plane_substitution(qdp, hdp))
-    return _verdict(
+    return _contraction_verdict(
         2,
         "dual plane contraction reproduces the h-dual relations",
-        c.ok,
-        None if c.ok else "limit span differs from the h-dual span",
-        tuple(str(e) for e in c.limit.to_elements()),
+        grgroup.dual_plane_substitution(grgroup.q_dual_plane(), grgroup.h_dual_plane()),
     )
 
 
@@ -97,15 +145,10 @@ def check_relation_contraction() -> Verdict:
 
 
 def check_covariance() -> Verdict:
-    grh = grgroup.gr_h2()
-    span = grgroup.combined_covariance_span(grh)
-    target = relation_span(grh.relations, grh)
-    ok = span.rank() == 10 and span_equal(span, target)
-    return _verdict(
+    return _fold(
         4,
         "covariance of both transformation directions spans the h-relations",
-        ok,
-        None if ok else f"combined covariance rank {span.rank()}",
+        [covariance_verdict(grgroup.gr_h2())],
     )
 
 
@@ -162,47 +205,22 @@ def check_rq_limit() -> Verdict:
 
 
 def check_inverses() -> Verdict:
-    report = grgroup.inverse_check(grgroup.gr_h2())
-    parts = [
-        residual_verdict(label, residual)
-        for label, residual in (
-            ("left inverse", report.left_residual),
-            ("right inverse", report.right_residual),
-            ("determinant exchange", report.exchange_residual),
-        )
-    ]
-    failed = [f"{v.command}: {v.witness}" for v in parts if v.status == "falsified"]
-    return _verdict(
+    return _fold(
         10,
         "one-sided inverses produce the stated determinants and exchange identity",
-        not failed,
-        "; ".join(failed) or None,
-        (
-            "the stated right inverse and right determinant fail as written; "
-            "flipping both h-signs in the right inverse and using "
-            "gamma*beta + delta*alpha makes every identity check out",
-        )
-        if failed
-        else (),
+        inverse_verdicts(grgroup.gr_h2()),
+        "the stated right inverse and right determinant fail as written; "
+        "flipping both h-signs in the right inverse and using "
+        "gamma*beta + delta*alpha makes every identity check out",
     )
 
 
 def check_product_theorem() -> Verdict:
-    spec = grgroup.product_pair_algebra()
-    bad = [label for label, res in grgroup.product_theorem(spec) if not res.is_zero()]
-    even = grgroup.product_entries_even(spec)
-    ok = not bad and even
-    witness = None
-    if bad:
-        witness = "nonzero residuals: " + ", ".join(bad)
-    elif not even:
-        witness = "a product entry has an odd-length normal word"
-    return _verdict(
+    return _fold(
         11,
         "product of two anticommuting generator matrices satisfies the six "
         "q-commutation relations with even entries",
-        ok,
-        witness,
+        product_verdicts(grgroup.product_pair_algebra()),
     )
 
 

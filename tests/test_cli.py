@@ -251,12 +251,20 @@ def test_limit_command_and_pole():
 
 def test_inverse_check_reports_three_verdicts():
     verdicts, _ = run_script("inverse-check")
-    assert [v.status for v in verdicts] == ["verified", "falsified", "falsified"]
+    assert [(v.command, v.status) for v in verdicts] == [
+        ("inverse-check [left inverse]", "verified"),
+        ("inverse-check [right inverse]", "falsified"),
+        ("inverse-check [determinant exchange]", "falsified"),
+    ]
 
 
 def test_product_check_all_verified():
     verdicts, _ = run_script("product-check")
-    assert len(verdicts) == 7
+    assert [v.command for v in verdicts] == [
+        f"product-check [{label}]"
+        for label in ("a*b - q*b*a", "a*c - q*c*a", "b*c - c*b", "b*d - q*d*b",
+                      "c*d - q*d*c", "a*d - d*a - (q - q^-1)*b*c", "entries are even")
+    ]
     assert all(v.status == "verified" for v in verdicts)
 
 
@@ -453,3 +461,14 @@ def test_main_qybe_with_matrix_file(tmp_path, capsys):
     assert main(["--porcelain", "qybe", "--rmatrix", "builtin:Rq"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[-1].startswith("falsified\tqybe builtin:Rq")
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["nf", "--algebra", "hplane", "--expr", 'x"*"y'], "column 2: unexpected character '\"'"),
+    (["nf", "--algebra", "hplane", "--expr", "x +* y"], "column 4: unexpected '*'"),
+    (["qybe", "--rmatrix", "nosuch"], "unknown matrix 'nosuch'"),
+], ids=["quoted", "syntax", "unknown"])
+def test_subcommands_keep_their_input_and_have_no_line(capsys, argv, witness):
+    # the expression is parsed as given, and an error names no line number
+    assert main(["--porcelain"] + argv) == 2
+    assert capsys.readouterr().out.split("\t")[2] == witness + "\n"

@@ -3,7 +3,9 @@
 ``tests/data/demos`` holds the human and ``--porcelain`` report of each
 ``demos/*.qh`` script and its exit code (``exit-codes.txt``).  They pin the
 rendering of every script command, including ``covariance``,
-``inverse-check`` and ``product-check``.
+``inverse-check`` and ``product-check``.  After a deliberate change to a
+report, re-record it from the repository root with
+``qhcontract [--porcelain] run demos/NAME.qh > tests/data/demos/NAME[.porcelain].txt``.
 """
 
 from pathlib import Path

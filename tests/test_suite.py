@@ -1,6 +1,7 @@
-"""Criterion 12 draws the same samples as its original construction, and
+"""Criterion 12 draws the same samples as its original construction,
 ``residual_verdict`` reads a residual as the battery and the script
-commands need it."""
+commands need it, and the covariance, inverse and product readers give
+the script commands and criteria 4, 10 and 11 the same part verdicts."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from qhcontract import grgroup, suite
+from qhcontract.cli import Runner
+from qhcontract.script import parse_script
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.matalg import AlgMat
 from qhcontract.rewrite import NotConfluent
@@ -61,3 +64,57 @@ def test_residual_verdict_certifies_confluence_before_it_falsifies():
     assert suite.residual_verdict("zero", AlgMat(spec, [[zero, zero], [zero, zero]])) == (
         suite.Verdict("zero", "verified")
     )
+
+
+@pytest.mark.parametrize("command, reader, algebra", [
+    ("covariance", suite.covariance_verdict, "GRh2"),
+    ("inverse-check", suite.inverse_verdicts, "GRh2"),
+    ("product-check", suite.product_verdicts, "GRq2xGRq2"),
+])
+def test_script_commands_report_the_readers_parts(command, reader, algebra):
+    runner = Runner()
+    parts = reader(runner.builtin_algebras[algebra])
+    if command == "covariance":
+        expected = [parts._replace(command="covariance")]
+    else:
+        expected = [v._replace(command=f"{command} [{v.command}]") for v in parts]
+    assert runner.run(parse_script(command)) == expected
+
+
+def _product_pair_with_a_wrong_second_copy():
+    """The pair algebra with the second copy's names permuted in its
+    relations: still confluent, but its product breaks four relations."""
+    base = grgroup.product_pair_algebra()
+    spec = AlgebraSpec.build(
+        base.name, [(g.name, g.parity, g.family, g.prec) for g in base.generators],
+        {("first", "second"): -1},
+    )
+    grgroup._add_gr_q_relations(spec, "alpha beta gamma delta")
+    grgroup._add_gr_q_relations(spec, "beta' alpha' delta' gamma'")
+    return spec
+
+
+def test_covariance_with_a_wrong_h_is_falsified(monkeypatch):
+    # equal ranks, different spans: span_equal alone decides
+    grh = grgroup.gr_h2(h=2 * Coeff.h())
+    part = suite.Verdict("covariance", "falsified", "combined rank 10, target rank 10")
+    assert suite.covariance_verdict(grh) == part
+    monkeypatch.setattr(grgroup, "gr_h2", lambda: grh)
+    v = suite.check_covariance()
+    assert (v.status, v.witness, v.details) == (
+        "falsified", "covariance: combined rank 10, target rank 10", ())
+
+
+def test_product_theorem_with_a_wrong_second_copy_is_falsified(monkeypatch):
+    spec = _product_pair_with_a_wrong_second_copy()
+    parts = suite.product_verdicts(spec)
+    failed = [v for v in parts if v.status == "falsified"]
+    assert [v.command for v in failed] == [
+        "a*b - q*b*a", "b*c - c*b", "c*d - q*d*c", "a*d - d*a - (q - q^-1)*b*c"]
+    assert parts[-1] == suite.Verdict("entries are even", "verified")
+    residuals = dict(grgroup.product_theorem(spec))
+    assert all(v.witness == str(residuals[v.command]) for v in failed)
+    monkeypatch.setattr(grgroup, "product_pair_algebra", lambda: spec)
+    v = suite.check_product_theorem()
+    assert (v.status, v.details) == ("falsified", ())
+    assert v.witness == "; ".join(f"{p.command}: {p.witness}" for p in failed)
