@@ -44,6 +44,8 @@ def power(x, n: int, one, mul=operator.mul):
     ``one`` is the unit of x's ring and ``mul`` its product, which must be
     associative, so the result equals that of n successive products.
     """
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     out = one
     while n:
         if n & 1:
@@ -219,9 +221,8 @@ class QHPoly:
 
     def q_valuation(self) -> int:
         """Largest s with q^s dividing the polynomial (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        return min(a for (a, _b) in self.terms)
+        # the least monomial (a, b) has the least q-degree a
+        return min(self.terms)[0] if self.terms else 0
 
     def divide_q(self, s: int) -> "QHPoly":
         if s == 0:
@@ -365,11 +366,6 @@ def _reduced(terms, den) -> QHPoly:
     if 0 in terms.values():
         for m in [m for m, c in terms.items() if not c]:
             del terms[m]
-    return _lowest(terms, den)
-
-
-def _lowest(terms, den) -> QHPoly:
-    """A QHPoly from nonzero int terms over den, with den made prime to the content."""
     if den != 1:
         g = gcd(den, *terms.values())
         if g != 1:
@@ -386,14 +382,21 @@ def _mul_term(p: QHPoly, t: QHPoly) -> QHPoly:
     filter; only a denominator other than 1 needs a gcd.
     """
     ((ta, tb), tc), = t.terms.items()
-    den = p.den * t.den
+    if t.den == 1:
+        # p's content is prime to p.den, so the product's content shares
+        # with p.den what tc does: a gcd of two ints, cancelled before the
+        # terms are built (none for +-1)
+        g = gcd(p.den, tc)
+        tc, den, lowest = tc // g, p.den // g, _wrap
+    else:
+        den, lowest = p.den * t.den, _reduced
     if ta == tb == 0:
         if tc == 1 and den == p.den:
             return p
         terms = {m: c * tc for m, c in p.terms.items()}
     else:
         terms = {(a + ta, b + tb): c * tc for (a, b), c in p.terms.items()}
-    return _lowest(terms, den)
+    return lowest(terms, den)
 
 
 def _int_quotient(num, divisor):
@@ -449,14 +452,17 @@ def _q1_power(k: int) -> QHPoly:
 
 
 def _cancel_q(num: QHPoly, qpow: int):
-    """num / q^qpow with the common powers of q cancelled."""
-    s = min(num.q_valuation(), qpow)
-    return (num.divide_q(s), qpow - s) if s else (num, qpow)
+    """num / q^qpow, num nonzero, with the common powers of q cancelled."""
+    # the least monomial has the least q-degree, so s is at most the
+    # q-valuation of num and q^-s * num is a polynomial
+    s = min(min(num.terms)[0], qpow)
+    return (num.mul_qpow(-s), qpow - s) if s else (num, qpow)
 
 
 def _cancel_q1(num: QHPoly, q1pow: int):
     """num / (q-1)^q1pow with the common powers of (q-1) cancelled."""
-    while q1pow:
+    # a single term c q^a h^b is c h^b at q = 1, so (q-1) never divides it
+    while q1pow and len(num.terms) != 1:
         d = num.div_q1()
         if d is None:
             break
@@ -477,19 +483,20 @@ class Coeff:
     def __init__(self, num: QHPoly, qpow: int = 0, q1pow: int = 0):
         if qpow < 0 or q1pow < 0:
             raise ValueError("denominator exponents must be nonnegative")
-        if num.is_zero():
+        if not num.terms:
             num, qpow, q1pow = QHPoly.zero(), 0, 0
         else:
             if qpow:
                 num, qpow = _cancel_q(num, qpow)
-            num, q1pow = _cancel_q1(num, q1pow)
+            if q1pow:
+                num, q1pow = _cancel_q1(num, q1pow)
         self.num = num
         self.qpow = qpow
         self.q1pow = q1pow
 
     @classmethod
     def zero(cls) -> "Coeff":
-        return cls(QHPoly.zero())
+        return _wrap_coeff(_wrap({}), 0, 0)
 
     @classmethod
     def one(cls) -> "Coeff":
@@ -508,16 +515,17 @@ class Coeff:
         return cls(QHPoly.const(r))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Coeff.rational(other)
-        if not isinstance(other, Coeff):
-            return NotImplemented
+        if type(other) is not Coeff:
+            if isinstance(other, (int, Fraction)):
+                other = Coeff.rational(other)
+            elif not isinstance(other, Coeff):
+                return NotImplemented
         return (
             self.num == other.num
             and self.qpow == other.qpow
@@ -533,19 +541,20 @@ class Coeff:
     def __add__(self, other) -> "Coeff":
         if type(other) is not Coeff:
             other = coeff(other)
-        m = max(self.qpow, other.qpow)
-        k = max(self.q1pow, other.q1pow)
+        qx, kx, qy, ky = self.qpow, self.q1pow, other.qpow, other.q1pow
+        m = qx if qx > qy else qy
+        k = kx if kx > ky else ky
         # only an operand below the common denominator is lifted to it
-        x = self.num if self.qpow == m and self.q1pow == k else self._lift(m, k)
-        y = other.num if other.qpow == m and other.q1pow == k else other._lift(m, k)
+        x = self.num if qx == m and kx == k else self._lift(m, k)
+        y = other.num if qy == m and ky == k else other._lift(m, k)
         num = x + y
         if not num.terms:
             return Coeff.zero()
         # a numerator prime to q plus one divisible by q is prime to q, and
         # the same holds for (q-1): only equal exponents can leave a factor
-        if self.qpow == other.qpow and m:
+        if qx == qy and m:
             num, m = _cancel_q(num, m)
-        if self.q1pow == other.q1pow:
+        if kx == ky and k:
             num, k = _cancel_q1(num, k)
         return _wrap_coeff(num, m, k)
 

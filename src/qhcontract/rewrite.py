@@ -141,14 +141,14 @@ class RuleSystem:
         if e.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
         rules = self.rules
-        down = self._down
+        down = self._down.__getitem__
         terms = dict(e.terms)
         heap = []
 
         def push(w):
             for i in range(len(w) - 1):
                 if w[i : i + 2] in rules:
-                    heappush(heap, (-len(w), [down[g] for g in w], w, i))
+                    heappush(heap, (-len(w), list(map(down, w)), w, i))
                     return
 
         for w in terms:

@@ -29,7 +29,7 @@ from .coeffring import Coeff, QHPoly
 from .contract import contract_relations, relation_span, span_equal
 from .matalg import AlgMat, ScalMat, qybe_residual, rtt_residual, similarity
 from .rewrite import confluent_rules, orient
-from .superalgebra import AlgebraSpec
+from .superalgebra import AlgebraSpec, Element
 from . import grgroup
 
 _SEED = 20260810
@@ -254,7 +254,8 @@ def check_property_battery() -> Verdict:
     qm1 = Coeff.q() - one
     for i in range(PROPERTY_SAMPLES):
         a, b, c = (_random_coeff(rng) for _ in range(3))
-        if (a + b) + c != a + (b + c) or a * (b + c) != a * b + a * c or a * b != b * a:
+        ab = a * b
+        if (a + b) + c != a + (b + c) or a * (b + c) != ab + a * c or ab != b * a:
             problems.append(f"scalar ring law failed on sample {i}")
             break
         p = _random_coeff(rng, q1_free=True)
@@ -286,27 +287,44 @@ def check_property_battery() -> Verdict:
     )
 
 
+def _below(bits, n: int) -> int:
+    """``rng.randrange(n)`` for ``bits = rng.getrandbits``, drawn as
+    ``random.Random._randbelow`` draws it, which ``randrange`` and ``randint``
+    call: ``getrandbits(n.bit_length())`` until the value is below n.  The
+    value and the generator state after it are those of ``randrange(n)``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_coeff(rng, q1_free=False) -> Coeff:
     # per term: numerator, denominator, q and h exponents, a later term
     # replacing an earlier one at the same monomial; then the q and (q-1)
-    # powers.  Changing the draws or their order changes the samples.
+    # powers.  Each value is drawn as the ``rng.randint`` named beside it
+    # would draw it, from the same generator calls, so the seed fixes the
+    # samples; tests/test_suite.py replays them with ``randint``.  Changing
+    # the draws or their order changes the samples.
+    bits = rng.getrandbits
     terms = {}
-    for _ in range(rng.randint(1, 3)):
-        # the denominator is 1, 2 or 3: the term's numerator over 6
-        over6 = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
-        terms[(rng.randint(0, 2), rng.randint(0, 2))] = over6
-    qpow = rng.randint(0, 2)
-    q1pow = 0 if q1_free else rng.randint(0, 2)
+    for _ in range(1 + _below(bits, 3)):  # randint(1, 3) terms
+        # randint(-3, 3) over randint(1, 3): the term's numerator over 6
+        over6 = (_below(bits, 7) - 3) * (6, 3, 2)[_below(bits, 3)]
+        terms[(_below(bits, 3), _below(bits, 3))] = over6  # randint(0, 2) each
+    qpow = _below(bits, 3)  # randint(0, 2)
+    q1pow = 0 if q1_free else _below(bits, 3)  # randint(0, 2)
     return Coeff(QHPoly.from_ints(terms, 6), qpow, q1pow)
 
 
 def _random_element(rng, spec, max_degree=2, max_terms=3):
-    from .superalgebra import Element
-
+    # randint(0, max_terms) terms, each a word of randint(0, max_degree)
+    # letters drawn by randrange(n), then its coefficient
+    bits = rng.getrandbits
     n = len(spec.generators)
     terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, max_degree)))
+    for _ in range(_below(bits, max_terms + 1)):
+        word = tuple([_below(bits, n) for _ in range(_below(bits, max_degree + 1))])
         terms[word] = _random_coeff(rng)
     return Element(spec, terms)
 

@@ -120,7 +120,7 @@ class AlgebraSpec:
         return self.cross_sign.get(frozenset((fam_a, fam_b)))
 
     def word_key(self, word: Word):
-        return (len(word), tuple(self._prec[g] for g in word))
+        return (len(word), tuple(map(self._prec.__getitem__, word)))
 
     def word_str(self, word: Word) -> str:
         if not word:

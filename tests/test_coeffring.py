@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from qhcontract.coeffring import Coeff, NotAUnit, NotDivisible, PoleAtQ1, QHPoly
+from qhcontract import coeffring
+from qhcontract.coeffring import Coeff, NotAUnit, NotDivisible, PoleAtQ1, QHPoly, power
 
 from conftest import random_coeff
 
@@ -143,6 +144,13 @@ def test_power_equals_repeated_products():
             assert c**-5 * c**5 == ONE
 
 
+@pytest.mark.parametrize("n", [-1, -2, -7])
+def test_power_refuses_a_negative_exponent(n):
+    # n >>= 1 keeps a negative n below 0, so the loop would never end
+    with pytest.raises(ValueError, match="negative exponent"):
+        power(Q, n, ONE)
+
+
 def test_zero_normalizes_denominators():
     z = Coeff(QHPoly.zero(), 3, 2)
     assert z.is_zero() and z.qpow == 0 and z.q1pow == 0
@@ -219,3 +227,89 @@ def test_from_ints_leaves_its_argument_unchanged():
     p = QHPoly.from_ints(terms, 6)
     assert terms == {(2, 1): 4, (1, 0): 0, (0, 0): 2}
     assert (p.terms, p.den) == ({(2, 1): 2, (0, 0): 1}, 3)
+
+
+# The kernel fast paths against the general computations they stand for.
+# The inputs have negative coefficients, denominators other than 1 and zero
+# results; every result must also be stored canonically.
+
+
+def _random_poly(rng, max_terms=4):
+    """A polynomial of up to max_terms terms over a denominator of 1 to 6,
+    the zero polynomial included."""
+    return QHPoly({
+        (rng.randint(0, 3), rng.randint(0, 2)):
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+        for _ in range(rng.randint(0, max_terms))
+    })
+
+
+def _convolution(x, y):
+    """x * y summed term by term in Fractions and built by the constructor."""
+    out = {}
+    for (a1, b1), c1 in x.terms.items():
+        for (a2, b2), c2 in y.terms.items():
+            m = (a1 + a2, b1 + b2)
+            out[m] = out.get(m, 0) + Fraction(c1, x.den) * Fraction(c2, y.den)
+    return QHPoly(out)
+
+
+def test_q_valuation_is_the_least_q_exponent():
+    rng = random.Random("q-valuation")
+    for _ in range(500):
+        p = _random_poly(rng)
+        assert p.q_valuation() == min((a for a, _b in p.terms), default=0)
+
+
+def test_single_term_products_match_the_convolution():
+    rng = random.Random("single-term")
+    scales = (1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+    seen = set()
+    for _ in range(2000):
+        p = _random_poly(rng)
+        t = QHPoly.monomial(rng.randint(0, 2), rng.randint(0, 2), rng.choice(scales))
+        for r, want in ((p * t, _convolution(p, t)), (t * p, _convolution(t, p))):
+            assert r == want, (p, t)
+            _assert_canonical_storage(r)
+        kind = "unit" if abs(t.leading()[1]) == 1 else "integer" if t.den == 1 else "fraction"
+        seen.add(("zero" if p.is_zero() else kind, r.den < p.den * t.den))
+    # each kind of factor with and without a common factor of numerator
+    # and denominator to cancel (a unit has none), and zero products
+    assert seen == {("unit", False), ("integer", False), ("integer", True),
+                    ("fraction", False), ("fraction", True), ("zero", False), ("zero", True)}
+
+
+def test_cancelling_q_and_q_minus_1_matches_the_divisions():
+    rng = random.Random("cancel")
+    for _ in range(1000):
+        num = _random_poly(rng)
+        if num.is_zero():
+            continue
+        num = num.mul_qpow(rng.randint(0, 2)).mul_q1pow(rng.randint(0, 2))
+        if rng.random() < 0.3:  # a monomial: (q-1) never divides it
+            num = QHPoly.monomial(rng.randint(0, 3), rng.randint(0, 2), rng.choice((1, -2, Fraction(3, 4))))
+        qpow, q1pow = rng.randint(0, 3), rng.randint(0, 3)
+        s = min(num.q_valuation(), qpow)
+        assert coeffring._cancel_q(num, qpow) == (num.divide_q(s), qpow - s)
+        want, k = num, q1pow
+        while k and want.div_q1() is not None:
+            want, k = want.div_q1(), k - 1
+        got = coeffring._cancel_q1(num, q1pow)
+        assert got == (want, k)
+        _assert_canonical_storage(got[0])
+
+
+def test_equality_fast_path_matches_the_coercing_one():
+    rng = random.Random("equality")
+    for _ in range(500):
+        a = random_coeff(rng)
+        # an equal copy a third of the time, another sample otherwise
+        b = Coeff(a.num, a.qpow, a.q1pow) if rng.random() < 0.3 else random_coeff(rng)
+        parts = lambda c: (c.num.terms, c.num.den, c.qpow, c.q1pow)
+        assert (a == b) == (parts(a) == parts(b))
+        r = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        assert Coeff.rational(r) == r
+        assert (a == r) == (a == Coeff.rational(r))
+    assert Coeff.zero() == Coeff(QHPoly.zero()) == 0
+    _assert_canonical_storage(Coeff.zero().num)
+    assert not Coeff.zero() and Coeff.zero().is_zero() and (ONE - ONE).is_zero()

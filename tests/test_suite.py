@@ -14,7 +14,7 @@ from qhcontract.script import parse_script
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.matalg import AlgMat
 from qhcontract.rewrite import NotConfluent
-from qhcontract.superalgebra import AlgebraSpec
+from qhcontract.superalgebra import AlgebraSpec, Element
 
 
 def _fraction_coeff(rng, q1_free=False):
@@ -27,13 +27,73 @@ def _fraction_coeff(rng, q1_free=False):
     return Coeff(QHPoly(terms), rng.randint(0, 2), 0 if q1_free else rng.randint(0, 2))
 
 
+def _randint_element(rng, spec, max_degree=2, max_terms=3):
+    """The element sampler as first written, on ``randint`` and ``randrange``."""
+    n = len(spec.generators)
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        word = tuple(rng.randrange(n) for _ in range(rng.randint(0, max_degree)))
+        terms[word] = _fraction_coeff(rng)
+    return Element(spec, terms)
+
+
+def _assert_same_sample(a, b):
+    assert a == b and str(a) == str(b)
+
+
 def test_random_coeff_keeps_its_draws():
     new, old = random.Random(suite._SEED), random.Random(suite._SEED)
     for i in range(500):
         q1_free = i % 5 >= 3  # criterion 12 draws three, then two (q-1)-free
-        a, b = suite._random_coeff(new, q1_free), _fraction_coeff(old, q1_free)
-        assert a == b and str(a) == str(b)
+        _assert_same_sample(suite._random_coeff(new, q1_free), _fraction_coeff(old, q1_free))
     assert new.getstate() == old.getstate()
+
+
+def test_random_element_keeps_its_draws():
+    # randrange(n) draws getrandbits(n.bit_length()) until the value is below
+    # n: on 4, 5, 8 and 9 generators 3, 3, 4 and 4 bits, rejecting 4 of 8,
+    # 3 of 8, 8 of 16 and 7 of 16 values
+    specs = [grgroup.gr_q2(), grgroup.gr_h2(), grgroup.product_pair_algebra()] + [
+        AlgebraSpec.build(f"n{n}", [(f"g{i}", "even", "f", i) for i in range(n)]) for n in (5, 9)]
+    new, old = random.Random(suite._SEED), random.Random(suite._SEED)
+    for i in range(600):
+        spec, bounds = specs[i % len(specs)], {"max_degree": i % 4, "max_terms": i % 5}
+        _assert_same_sample(suite._random_element(new, spec, **bounds),
+                            _randint_element(old, spec, **bounds))
+    assert new.getstate() == old.getstate()
+
+
+def test_battery_draws_the_samples_of_randint(monkeypatch):
+    """Every sample criterion 12 draws, in its order, equals the one the
+    samplers as first written draw from the same seed, and the battery
+    leaves its generator in their final state."""
+    drawn, inside = [], []
+    random_coeff, random_element = suite._random_coeff, suite._random_element
+
+    def element(rng, spec):
+        inside.append(spec)  # its coefficients are part of this draw
+        e = random_element(rng, spec)
+        inside.pop()
+        drawn.append((rng, lambda ref: _randint_element(ref, spec), e))
+        return e
+
+    def coeff(rng, q1_free=False):
+        c = random_coeff(rng, q1_free)
+        if not inside:
+            drawn.append((rng, lambda ref: _fraction_coeff(ref, q1_free), c))
+        return c
+
+    monkeypatch.setattr(suite, "_random_element", element)
+    monkeypatch.setattr(suite, "_random_coeff", coeff)
+    assert suite.check_property_battery().status == "verified"
+    # two elements, then three coefficients and two (q-1)-free ones, per sample
+    assert len(drawn) == 7 * suite.PROPERTY_SAMPLES
+    battery_rng = drawn[0][0]
+    assert all(rng is battery_rng for rng, _ref, _sample in drawn)
+    ref = random.Random(suite._SEED)
+    for _rng, reference, sample in drawn:
+        _assert_same_sample(sample, reference(ref))
+    assert battery_rng.getstate() == ref.getstate()
 
 
 def _cyclic():

@@ -103,6 +103,16 @@ def test_precedence_must_be_permutation():
         AlgebraSpec.build("bad", [("u", "even", "f", 0), ("v", "even", "f", 2)])
 
 
+def test_word_key_is_length_then_precedences():
+    rng = random.Random("word-key")
+    for spec in (gr_h2(), h_plane(), AlgebraSpec.build(
+            "reversed", [(f"g{i}", "even", "f", 4 - i) for i in range(5)])):
+        prec = [g.prec for g in spec.generators]
+        for _ in range(300):
+            w = tuple(rng.randrange(len(prec)) for _ in range(rng.randint(0, 5)))
+            assert spec.word_key(w) == (len(w), tuple(prec[g] for g in w))
+
+
 def _assert_stored_canonically(e):
     assert all(e.terms.values()), e
     keys = list(e.terms)
