@@ -289,17 +289,6 @@ class QHPoly:
         # content of self and with it the canonical denominator
         return _wrap(out, self.den)
 
-    def q1_valuation(self) -> int:
-        """Largest s with (q-1)^s dividing the polynomial (0 for zero)."""
-        if self.is_zero():
-            return 0
-        v, p = 0, self
-        while True:
-            d = p.div_q1()
-            if d is None:
-                return v
-            v, p = v + 1, d
-
     def exact_div(self, divisor: "QHPoly") -> "QHPoly":
         """Exact quotient self / divisor; raises NotDivisible otherwise."""
         if divisor.is_zero():

@@ -17,9 +17,11 @@ and the script ``contract`` command only render its :class:`Contraction`.
 :func:`extend` is the homomorphic extension of any generator map, also of
 one with images of higher degree.
 
-All linear algebra here is fraction-free over Q[q,h] and goes through one
-Bareiss routine, ``_bareiss``, which returns the rank and, on request, one
-left-kernel vector from the same elimination.  Rows of localized scalars
+All linear algebra here is fraction-free over Q[q,h] and goes through
+the one Bareiss routine, :func:`~qhcontract.matalg._bareiss`, which also
+inverts a :class:`Substitution`'s matrix.  It returns the rank and the
+echelon rows; with an identity block carried along, the rows below the
+rank are a basis of the left kernel.  Rows of localized scalars
 are lifted to polynomial rows by clearing their unit denominators and then
 made primitive (common q, h, (q-1) and rational factors stripped), which
 does not change any span; the lifted rows then have integer coefficients,
@@ -35,7 +37,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
-from .matalg import NotInvertible, ScalMat
+from .matalg import NotInvertible, ScalMat, _bareiss, _clear_row
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -141,7 +143,7 @@ class RelationSpan:
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = _bareiss(self._primitive_rows())[0]
+            self._rank = _bareiss(self._primitive_rows(), len(self.basis))[0]
         return self._rank
 
     def _primitive_rows(self):
@@ -192,7 +194,7 @@ def span_equal(a: RelationSpan, b: RelationSpan) -> bool:
     ra = a.rank()
     if ra != b.rank():
         return False
-    return _bareiss(a._primitive_rows() + b._primitive_rows())[0] == ra
+    return _bareiss(a._primitive_rows() + b._primitive_rows(), len(a.basis))[0] == ra
 
 
 def limit_span(sp: RelationSpan) -> RelationSpan:
@@ -201,16 +203,23 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
     if not rows:
         return RelationSpan(sp.algebra, sp.basis, [])
     r0 = sp.rank()
+    ncols = len(sp.basis)
+    zero, one = QHPoly.zero(), QHPoly.one()
     for _ in range(10000):
         evaluated = [[p.at_q1() for p in row] for row in rows]
-        rank, combo = _bareiss(evaluated, kernel=True)
+        # the identity block records each echelon row as a combination of
+        # the evaluated rows; below the rank that combination vanishes
+        k = len(rows)
+        rank, m = _bareiss([row + [one if j == i else zero for j in range(k)]
+                            for i, row in enumerate(evaluated)], ncols)
         if rank == r0:
             out = RelationSpan(sp.algebra, sp.basis,
                                [[Coeff(p) for p in _primitive(row)] for row in evaluated])
             # its rows are the evaluated rows up to unit factors
             out._rank = rank
             return out
-        v = [QHPoly.zero()] * len(sp.basis)
+        combo = m[rank][ncols:]
+        v = [zero] * ncols
         for t, row in zip(combo, rows):
             if t.is_zero():
                 continue
@@ -245,13 +254,6 @@ def contract_relations(sub: Substitution) -> Contraction:
 # -- fraction-free helpers ----------------------------------------------------
 
 
-def _clear_row(row):
-    """Lift a Coeff row to a QHPoly row by clearing its unit denominators."""
-    m = max((c.qpow for c in row), default=0)
-    k = max((c.q1pow for c in row), default=0)
-    return [c.num.mul_qpow(m - c.qpow).mul_q1pow(k - c.q1pow) for c in row]
-
-
 def _primitive(row):
     """Strip common q, h, (q-1) and rational content; normalize the leading sign.
 
@@ -268,9 +270,9 @@ def _primitive(row):
     sh = min(p.h_valuation() for p in nz)
     if sh:
         row = [p.divide_h(sh) if not p.is_zero() else p for p in row]
-    t = min(p.q1_valuation() for p in nz)
-    for _ in range(t):
-        row = [p.div_q1() if not p.is_zero() else p for p in row]
+    # strip the common power of (q-1): divide every entry while all divide
+    while None not in (quo := [p.div_q1() for p in row]):
+        row = quo
     num, den = 0, 1
     for p in row:
         num = gcd(num, *p.terms.values())
@@ -284,48 +286,3 @@ def _primitive(row):
             break
     return list(row)
 
-
-def _bareiss(rows, kernel: bool = False):
-    """Rank of Q[q,h] rows over the fraction field, by Bareiss elimination.
-
-    Returns ``(rank, combo)``.  With ``kernel`` an identity block rides
-    along on the right, and ``combo`` is one nonzero combination of the
-    original rows that sums to zero, or None when the rows are independent;
-    without it ``combo`` is None.
-    """
-    nrows = len(rows)
-    if not nrows:
-        return 0, None
-    ncols = len(rows[0])
-    zero, one = QHPoly.zero(), QHPoly.one()
-    m = [list(row) for row in rows]
-    if kernel:
-        for i, row in enumerate(m):
-            row.extend(one if j == i else zero for j in range(nrows))
-    width = len(m[0])
-    rank = 0
-    prev = one
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for row in m[rank + 1:]:
-            cr = row[col]
-            for c in range(col + 1, width):
-                x, y = row[c], top[c]
-                if cr and y:
-                    row[c] = (x * p - cr * y).exact_div(prev)
-                elif x:
-                    row[c] = (x * p).exact_div(prev)
-            row[col] = zero
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    # below the pivot rows the left block is zero, so row `rank` is a
-    # dependency whenever there is one
-    combo = m[rank][ncols:] if kernel and rank < nrows else None
-    return rank, combo

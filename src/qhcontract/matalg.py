@@ -11,13 +11,13 @@ algebra.
 
 from __future__ import annotations
 
-from .coeffring import Coeff, PoleAtQ1, coeff
+from .coeffring import Coeff, NotAUnit, PoleAtQ1, QHPoly, coeff
 from .rewrite import orient
 from .superalgebra import AlgebraSpec, Element
 
 
 class NotInvertible(Exception):
-    """Elimination hit a non-unit pivot column."""
+    """The matrix is singular or its determinant is not a unit."""
 
 
 class ScalMat:
@@ -116,33 +116,31 @@ class ScalMat:
     def inverse(self) -> "ScalMat":
         """Exact inverse over the localized ring.
 
-        Gauss-Jordan elimination needs a unit pivot in every column and
-        raises NotInvertible otherwise.
+        One Bareiss elimination of the lifted rows of ``[A | I]`` decides
+        it: the last pivot is det A times a unit, so A is invertible
+        exactly when the rank is n and that pivot is a unit.  Fraction-free
+        back-substitution then gives the inverse times that pivot.
         """
         n = self.n
-        aug = [
-            [c for c in self.rows[i]]
-            + [Coeff.one() if i == j else Coeff.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if aug[r][col].is_unit():
-                    piv = r
-                    break
-            if piv is None:
-                raise NotInvertible(f"no unit pivot in column {col + 1}")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = aug[col][col].try_inv()
-            aug[col] = [c * inv_p for c in aug[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                c = aug[r][col]
-                if c:
-                    aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-        return ScalMat([row[n:] for row in aug])
+        eye = ScalMat.identity(n).rows
+        rank, m = _bareiss([_clear_row(row + e) for row, e in zip(self.rows, eye)], n)
+        if rank < n:
+            raise NotInvertible("the matrix is singular")
+        det = m[-1][n - 1] if n else QHPoly.one()
+        try:
+            inv_det = Coeff(det).try_inv()
+        except NotAUnit:
+            raise NotInvertible("the determinant is not a unit") from None
+        # det * A^-1 is a polynomial matrix, so every division is exact
+        out = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = [det * b for b in row[n:]]
+            for j in range(i + 1, n):
+                if row[j]:
+                    acc = [a - row[j] * y for a, y in zip(acc, out[j])]
+            out[i] = [a.exact_div(row[i]) for a in acc]
+        return ScalMat([[Coeff(y) * inv_det for y in row] for row in out])
 
     def entries_str(self):
         """The nonzero entries as ``(i,j): value`` strings, row by row."""
@@ -345,3 +343,54 @@ def rtt_residual(r: ScalMat, a: AlgMat, sign: int) -> AlgMat:
     lhs = lifted.mat_mul(a1.mat_mul(a2))
     rhs = a2.mat_mul(a1).mat_mul(lifted).scale(sign)
     return (lhs - rhs).normal_form()
+
+
+# -- fraction-free elimination --------------------------------------------------
+
+
+def _clear_row(row):
+    """Lift a Coeff row to a QHPoly row by clearing its unit denominators."""
+    m = max((c.qpow for c in row), default=0)
+    k = max((c.q1pow for c in row), default=0)
+    return [c._lift(m, k) for c in row]
+
+
+def _bareiss(rows, ncols):
+    """Bareiss elimination of Q[q,h] rows over the fraction field.
+
+    Pivots only in the first ``ncols`` columns and carries the rest along.
+    Returns ``(rank, echelon rows)``: the first ``rank`` rows are the pivot
+    rows, and the left block of every row below them is zero, so an
+    identity block carried on the right turns those rows into a basis of
+    the left kernel.  The k-th pivot is a k x k minor, the last one of a
+    square matrix its determinant up to sign.
+    """
+    nrows = len(rows)
+    if not nrows:
+        return 0, []
+    m = [list(row) for row in rows]
+    width = len(m[0])
+    zero = QHPoly.zero()
+    rank = 0
+    prev = QHPoly.one()
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            cr = row[col]
+            for c in range(col + 1, width):
+                x, y = row[c], top[c]
+                if cr and y:
+                    row[c] = (x * p - cr * y).exact_div(prev)
+                elif x:
+                    row[c] = (x * p).exact_div(prev)
+            row[col] = zero
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, m

@@ -1,8 +1,8 @@
-"""QHPoly arithmetic and the Bareiss routine checked against sympy.
+"""QHPoly arithmetic, the Bareiss routine and ScalMat.inverse checked against sympy.
 
 sympy is an independent implementation of polynomial arithmetic, exact
-division and matrix rank over Q(q,h); every input here is drawn from a
-seeded generator, so a failure reproduces exactly.
+division, matrix rank and inversion over Q(q,h); every input here is drawn
+from a seeded generator, so a failure reproduces exactly.
 """
 
 import random
@@ -12,8 +12,8 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from qhcontract.coeffring import NotDivisible, QHPoly
-from qhcontract.contract import _bareiss
+from qhcontract.coeffring import Coeff, NotDivisible, QHPoly
+from qhcontract.matalg import NotInvertible, ScalMat, _bareiss
 
 Q, H = sympy.symbols("q h")
 
@@ -160,14 +160,86 @@ def test_bareiss_rank_and_kernel_match_sympy():
         rows = random_matrix(rng, nrows, ncols)
         mat = sympy.Matrix([[to_sympy(p) for p in row] for row in rows])
         want = DomainMatrix.from_Matrix(mat).to_field().rank()
-        rank, combo = _bareiss(rows, kernel=True)
-        assert rank == want
-        assert _bareiss(rows) == (want, None)
+        assert _bareiss(rows, ncols)[0] == want
+        carried = [row + [QHPoly.one() if j == i else QHPoly.zero() for j in range(nrows)]
+                   for i, row in enumerate(rows)]
+        rank, echelon = _bareiss(carried, ncols)
+        assert rank == want and len(echelon) == nrows
         if rank == nrows:
-            assert combo is None
             continue
         deficient += 1
-        assert len(combo) == nrows and any(combo)
-        vec = sympy.Matrix([[to_sympy(t) for t in combo]])
-        assert (vec * mat).expand() == sympy.zeros(1, ncols)
+        # every row below the rank is a left-kernel vector, and together
+        # they span the whole left kernel
+        assert all(not p for row in echelon[rank:] for p in row[:ncols])
+        kernel = sympy.Matrix([[to_sympy(t) for t in row[ncols:]] for row in echelon[rank:]])
+        assert (kernel * mat).expand() == sympy.zeros(nrows - rank, ncols)
+        assert DomainMatrix.from_Matrix(kernel).to_field().rank() == nrows - rank
     assert deficient >= 8
+
+
+ONE, Qc, Hc = Coeff.one(), Coeff.q(), Coeff.h()
+ELEMENTARY = (Hc, Hc + ONE, Hc / (Qc - ONE), Qc + ONE, Coeff.rational(Fraction(-3, 2)))
+UNITS = (ONE, -ONE, Qc, Qc - ONE, Coeff.rational(Fraction(2, 3)))
+
+
+def unimodular_rows(rng, n):
+    """A product of elementary matrices, its rows scaled by units and shuffled."""
+    rows = [[ONE if i == j else Coeff.zero() for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(2, 6)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(ELEMENTARY)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    rows = [[u * a for a in row] for u, row in zip(rng.choices(UNITS, k=n), rows)]
+    rng.shuffle(rows)
+    return rows
+
+
+FIELD = sympy.ZZ.frac_field(Q, H)
+
+
+def to_field(c: Coeff):
+    """c as an element of sympy's field Z(q,h), built from its terms."""
+    ring = FIELD.field.ring
+    q = ring.gens[0]
+    num = ring.from_dict(dict(c.num.terms)) if c.num.terms else ring.zero
+    return FIELD.field.new(num, c.num.den * q**c.qpow * (q - 1) ** c.q1pow)
+
+
+def test_inverse_of_unimodular_products_matches_sympy():
+    # 82 of these 200 have no unit pivot at some step of Gauss-Jordan
+    # elimination, though every determinant is a unit
+    rng = random.Random(105)
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        a = ScalMat(unimodular_rows(rng, n))
+        inv = a.inverse()
+        assert a * inv == inv * a == ScalMat.identity(n)
+        want = DomainMatrix([[to_field(c) for c in row] for row in a.rows], (n, n), FIELD)
+        got = DomainMatrix([[to_field(c) for c in row] for row in inv.rows], (n, n), FIELD)
+        assert got == want.inv()
+
+
+@pytest.mark.parametrize("det", ["q+1", "h", "h+1"])
+def test_inverse_rejects_non_unit_determinants(det):
+    rng = random.Random(106)
+    d = {"q+1": Qc + ONE, "h": Hc, "h+1": Hc + ONE}[det]
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        rows = unimodular_rows(rng, n)
+        k = rng.randrange(n)
+        # scaling one row by d scales the determinant by d
+        rows[k] = [d * c for c in rows[k]]
+        with pytest.raises(NotInvertible):
+            ScalMat(rows).inverse()
+
+
+def test_inverse_rejects_singular_matrices():
+    rng = random.Random(107)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        rows = unimodular_rows(rng, n)
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice(ELEMENTARY)
+        rows[i] = [c * x for x in rows[j]]
+        with pytest.raises(NotInvertible):
+            ScalMat(rows).inverse()
