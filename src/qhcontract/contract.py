@@ -18,16 +18,16 @@ and the script ``contract`` command only render its :class:`Contraction`.
 one with images of higher degree.
 
 All linear algebra here is fraction-free over Q[q,h] and goes through
-the one Bareiss routine, :func:`~qhcontract.matalg._bareiss`, which also
-inverts a :class:`Substitution`'s matrix.  It returns the rank and the
-echelon rows; with an identity block carried along, the rows below the
-rank are a basis of the left kernel.  Rows of localized scalars
-are lifted to polynomial rows by clearing their unit denominators and then
-made primitive (common q, h, (q-1) and rational factors stripped), which
-does not change any span; the lifted rows then have integer coefficients,
-which the scalar layer stores as plain ``int``.  A :class:`RelationSpan`
-ranks its rows at most once and keeps the result, and each round of the
-limit loop is a single elimination.
+the one Bareiss routine, :func:`~qhcontract.rewrite._bareiss`, which also
+orients relations and inverts a :class:`Substitution`'s matrix.  It
+returns the rank and the echelon rows; with an identity block carried
+along, the rows below the rank are a basis of the left kernel.  Rows of
+localized scalars are lifted to polynomial rows by clearing their unit
+denominators and then made primitive (common q, h, (q-1) and rational
+factors stripped), which does not change any span; the lifted rows then
+have integer coefficients, which the scalar layer stores as plain
+``int``.  A :class:`RelationSpan` ranks its rows at most once and keeps
+the result, and each round of the limit loop is a single elimination.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
-from .matalg import NotInvertible, ScalMat, _bareiss, _clear_row
+from .matalg import NotInvertible, ScalMat
+from .rewrite import _bareiss, _clear_row
 from .superalgebra import AlgebraSpec, Element
 
 

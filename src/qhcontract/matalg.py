@@ -6,13 +6,14 @@ their tensor embeddings).  The two tensor-leg embeddings and the three
 QYBE legs are spelled out with explicit Kronecker deltas and insert no
 signs: all sign effects come from the relation rewriting, with the rule
 system that :func:`~qhcontract.rewrite.orient` keeps for the matrix's
-algebra.
+algebra.  :meth:`ScalMat.inverse` runs the fraction-free elimination of
+:mod:`~qhcontract.rewrite` on ``[A | I]``.
 """
 
 from __future__ import annotations
 
-from .coeffring import Coeff, NotAUnit, PoleAtQ1, QHPoly, coeff
-from .rewrite import orient
+from .coeffring import Coeff, NotAUnit, PoleAtQ1, coeff
+from .rewrite import _back_substitute, _bareiss, _clear_row, orient
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -126,21 +127,12 @@ class ScalMat:
         rank, m = _bareiss([_clear_row(row + e) for row, e in zip(self.rows, eye)], n)
         if rank < n:
             raise NotInvertible("the matrix is singular")
-        det = m[-1][n - 1] if n else QHPoly.one()
+        det, out = _back_substitute(m, range(n))
         try:
             inv_det = Coeff(det).try_inv()
         except NotAUnit:
             raise NotInvertible("the determinant is not a unit") from None
-        # det * A^-1 is a polynomial matrix, so every division is exact
-        out = [None] * n
-        for i in range(n - 1, -1, -1):
-            row = m[i]
-            acc = [det * b for b in row[n:]]
-            for j in range(i + 1, n):
-                if row[j]:
-                    acc = [a - row[j] * y for a, y in zip(acc, out[j])]
-            out[i] = [a.exact_div(row[i]) for a in acc]
-        return ScalMat([[Coeff(y) * inv_det for y in row] for row in out])
+        return ScalMat([[Coeff(y) * inv_det for y in row[n:]] for row in out])
 
     def entries_str(self):
         """The nonzero entries as ``(i,j): value`` strings, row by row."""
@@ -343,54 +335,3 @@ def rtt_residual(r: ScalMat, a: AlgMat, sign: int) -> AlgMat:
     lhs = lifted.mat_mul(a1.mat_mul(a2))
     rhs = a2.mat_mul(a1).mat_mul(lifted).scale(sign)
     return (lhs - rhs).normal_form()
-
-
-# -- fraction-free elimination --------------------------------------------------
-
-
-def _clear_row(row):
-    """Lift a Coeff row to a QHPoly row by clearing its unit denominators."""
-    m = max((c.qpow for c in row), default=0)
-    k = max((c.q1pow for c in row), default=0)
-    return [c._lift(m, k) for c in row]
-
-
-def _bareiss(rows, ncols):
-    """Bareiss elimination of Q[q,h] rows over the fraction field.
-
-    Pivots only in the first ``ncols`` columns and carries the rest along.
-    Returns ``(rank, echelon rows)``: the first ``rank`` rows are the pivot
-    rows, and the left block of every row below them is zero, so an
-    identity block carried on the right turns those rows into a basis of
-    the left kernel.  The k-th pivot is a k x k minor, the last one of a
-    square matrix its determinant up to sign.
-    """
-    nrows = len(rows)
-    if not nrows:
-        return 0, []
-    m = [list(row) for row in rows]
-    width = len(m[0])
-    zero = QHPoly.zero()
-    rank = 0
-    prev = QHPoly.one()
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[col]
-        for row in m[rank + 1:]:
-            cr = row[col]
-            for c in range(col + 1, width):
-                x, y = row[c], top[c]
-                if cr and y:
-                    row[c] = (x * p - cr * y).exact_div(prev)
-                elif x:
-                    row[c] = (x * p).exact_div(prev)
-            row[col] = zero
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, m

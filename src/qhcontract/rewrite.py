@@ -1,12 +1,12 @@
 """Orient quadratic relation sets into terminating rewrite rules.
 
-Orientation is a reduced row echelon computation over the localized
-coefficient ring in the degree-2 word space: the largest word of each
-inter-reduced relation becomes a rule left-hand side, solved with a unit
-leading coefficient.  Because the lhs is the largest word of its row, every
-rhs word is strictly smaller and reduction terminates.  Cross-family swap
-rules u*v -> sign * v*u are added for every pair of generators from
-distinct families with a declared sign.
+Orientation reads the rules off the relations' reduced row echelon form
+over the degree-2 words, largest word first, from :func:`_bareiss`, the
+package's one fraction-free elimination, at the end of this module.  Each
+pivot word becomes a rule left-hand side; the relations' minor on these
+words must be a unit.  Every rhs word is smaller than its lhs, so
+reduction terminates.  Cross-family swap rules u*v -> sign * v*u are added
+for every pair of generators from distinct families with a declared sign.
 
 Normal forms rewrite the largest reducible word at its first redex until
 no word is reducible.  The reducible words wait in a heap ordered by
@@ -35,7 +35,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit
+from .coeffring import Coeff, NotAUnit, QHPoly
 from .superalgebra import AlgebraSpec, Element, from_nonzero_terms
 
 
@@ -177,9 +177,20 @@ class RuleSystem:
 def orient(spec: AlgebraSpec) -> RuleSystem:
     """The rule system of a quadratic presentation, built on the first call.
 
-    Relations sharing a leading word are inter-reduced first (full reduced
-    echelon form, pivot = largest word, unit pivot required), then each
-    surviving row `lhs + tail` becomes the rule `lhs -> -tail`.
+    One :func:`_bareiss` call eliminates the relations' rows on their
+    words, largest first, lifted by :func:`_clear_row` but never made
+    primitive: h is not a unit, and dividing it out would change what the
+    rules derive.  Each pivot word gets the rule ``lhs -> -tail`` from its
+    row ``lhs + tail`` of the reduced row echelon form.
+
+    That form is A_P^-1 A for the chosen relations A and their matrix A_P
+    on the leading words, whose determinant d is the last pivot.  Its rows
+    are ring combinations of A exactly when d is a unit (A_P^-1 is
+    adj(A_P) / d; conversely C A_P = I over the ring gives det C * d = 1),
+    so a non-unit d is refused.  Unit-first pivots in a stable row order
+    pick the relations that unit-pivot Gauss-Jordan elimination picks when
+    it succeeds: its rows are the Bareiss rows over the previous pivot, a
+    unit, so the same entries are units and the rules are the same.
 
     The result is kept on ``spec`` and returned by every later call; after
     that, :meth:`AlgebraSpec.add_relation` refuses, since the kept rules
@@ -197,52 +208,22 @@ def orient(spec: AlgebraSpec) -> RuleSystem:
         if not r.is_homogeneous(2) or r.is_zero():
             raise OrientationFailure(f"relation {r} is not homogeneous of degree 2")
 
-    key = spec.word_key
-    pending = list(spec.relations)
-    solved = {}  # lhs word -> monic pivot Element (lhs + tail)
-    while pending:
-        lead = max((e.leading_word() for e in pending), key=key)
-        pivot = None
-        for e in pending:
-            if e.leading_word() == lead and e.terms[lead].is_unit():
-                pivot = e
-                break
-        if pivot is None:
-            culprit = next(e for e in pending if e.leading_word() == lead)
-            raise OrientationFailure(
-                f"leading coefficient {culprit.terms[lead]} of word "
-                f"{spec.word_str(lead)} is not a unit"
-            )
-        pending.remove(pivot)
-        try:
-            pivot = pivot.scale(pivot.terms[lead].try_inv())
-        except NotAUnit:  # pragma: no cover - guarded above
-            raise OrientationFailure("non-unit pivot")
-        reduced = []
-        for e in pending:
-            c = e.terms.get(lead)
-            if c:
-                e = e - pivot.scale(c)
-            if not e.is_zero():
-                reduced.append(e)
-        pending = reduced
-        for w, p in list(solved.items()):
-            c = p.terms.get(lead)
-            if c:
-                solved[w] = p - pivot.scale(c)
-        solved[lead] = pivot
-
+    words = sorted({w for r in spec.relations for w in r.terms}, key=spec.word_key, reverse=True)
+    zero = Coeff.zero()
+    rows = [_clear_row([r.terms.get(w, zero) for w in words]) for r in spec.relations]
+    rank, m = _bareiss(rows, len(words))
+    pivots = [next(c for c, x in enumerate(row) if x) for row in m[:rank]]
+    d, reduced = _back_substitute(m, pivots)
+    try:
+        inv = Coeff(d).try_inv()
+    except NotAUnit:
+        leads = ", ".join(spec.word_str(words[c]) for c in pivots)
+        raise OrientationFailure(f"minor {d} of the relations on their leading words "
+                                 f"{leads} is not a unit") from None
     rules = {}
-    for lead, p in solved.items():
-        tail = Element(spec, {w: c for w, c in p.terms.items() if w != lead})
-        rhs = -tail
-        for w in rhs.terms:
-            if key(w) >= key(lead):
-                raise OrientationFailure(
-                    f"rule for {spec.word_str(lead)} has a non-decreasing "
-                    f"right-hand side word {spec.word_str(w)}"
-                )
-        rules[lead] = rhs
+    for c, row in zip(pivots, reduced):
+        lhs = words[c]
+        rules[lhs] = Element(spec, {w: Coeff(-x) * inv for w, x in zip(words, row) if x and w != lhs})
 
     for u in spec.generators:
         for v in spec.generators:
@@ -276,3 +257,79 @@ def confluent_rules(spec: AlgebraSpec) -> RuleSystem:
 def overlap_summary(witnesses) -> str:
     """The first unresolved overlap and how many more there are."""
     return f"{witnesses[0].describe()} (+{len(witnesses) - 1} more)"
+
+
+# -- fraction-free elimination --------------------------------------------------
+
+
+def _clear_row(row):
+    """Lift a Coeff row to a QHPoly row by clearing its unit denominators."""
+    m = max((c.qpow for c in row), default=0)
+    k = max((c.q1pow for c in row), default=0)
+    return [c._lift(m, k) if c else c.num for c in row]
+
+
+def _bareiss(rows, ncols):
+    """Bareiss elimination of Q[q,h] rows over the fraction field.
+
+    Pivots only in the first ``ncols`` columns and carries the rest along.
+    In each column the first remaining row with a unit entry, else with a
+    nonzero one, moves up to pivot; the others keep their order.  Returns
+    ``(rank, echelon rows)``: the first ``rank`` rows are the pivot rows,
+    and the left block of every row below them is zero, so an identity
+    block carried on the right turns those rows into a basis of the left
+    kernel.  The k-th pivot is the minor of the first k pivot rows on the
+    pivot columns; for a square matrix the last is its determinant up to
+    sign.
+    """
+    nrows = len(rows)
+    if not nrows:
+        return 0, []
+    m = [list(row) for row in rows]
+    width = len(m[0])
+    zero = QHPoly.zero()
+    rank = 0
+    prev = QHPoly.one()
+    for col in range(ncols):
+        nonzero = [r for r in range(rank, nrows) if m[r][col]]
+        if not nonzero:
+            continue
+        piv = next((r for r in nonzero if Coeff(m[r][col]).is_unit()), nonzero[0])
+        m.insert(rank, m.pop(piv))
+        top = m[rank]
+        p = top[col]
+        for row in m[rank + 1:]:
+            cr = row[col]
+            if not cr and p == prev:
+                continue  # each entry x becomes x * p / prev = x
+            for c in range(col + 1, width):
+                x, y = row[c], top[c]
+                if cr and y:
+                    row[c] = (x * p - cr * y).exact_div(prev)
+                elif x:
+                    row[c] = (x * p).exact_div(prev)
+            row[col] = zero
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank, m
+
+
+def _back_substitute(m, pivots):
+    """``(d, d * R)``, with d the last pivot and R the reduced row echelon
+    form of the first rows of :func:`_bareiss`'s ``m``, one per pivot
+    column.  d R is the adjugate of their input rows' minor matrix times
+    those rows, so every division is exact."""
+    if not pivots:
+        return QHPoly.one(), []
+    d = m[len(pivots) - 1][pivots[-1]]
+    out = [None] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row = m[i]
+        acc = [d * x if x else x for x in row]
+        for j in range(i + 1, len(pivots)):
+            if t := row[pivots[j]]:
+                acc = [a - t * y if y else a for a, y in zip(acc, out[j])]
+        out[i] = [a.exact_div(row[pivots[i]]) if a else a for a in acc]
+    return d, out

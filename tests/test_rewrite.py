@@ -72,6 +72,30 @@ def test_orient_requires_unit_leading_coefficient():
         orient(spec)
 
 
+def _uv(*relations):
+    spec = AlgebraSpec.build("uv", [("u", "even", "f", 0), ("v", "even", "f", 1)])
+    u, v = spec.gen_elements("u v")
+    for make in relations:
+        spec.add_relation(make(u, v))
+    return spec
+
+
+def test_orient_prefers_a_unit_pivot_to_the_first_nonzero_one():
+    # h*v*v comes first, but only v*v solves for v*v over the scalars
+    spec = _uv(lambda u, v: H * v * v, lambda u, v: v * v)
+    assert orient(spec).rules == {(1, 1): spec.zero()}
+
+
+@pytest.mark.parametrize("relations, leads", [
+    ((lambda u, v: H * v * v,), "v^2"),
+    ((lambda u, v: v * v, lambda u, v: H * v * u + u * u), "v^2, v*u"),
+])
+def test_orient_refuses_a_non_unit_minor(relations, leads):
+    with pytest.raises(OrientationFailure) as exc:
+        orient(_uv(*relations))
+    assert str(exc.value) == f"minor h of the relations on their leading words {leads} is not a unit"
+
+
 def test_orient_keeps_the_rules_on_the_algebra():
     spec = h_plane()
     rs = orient(spec)

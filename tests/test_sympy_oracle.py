@@ -1,4 +1,4 @@
-"""QHPoly arithmetic, the Bareiss routine and ScalMat.inverse checked against sympy.
+"""QHPoly arithmetic, the Bareiss routine, ScalMat.inverse and orient checked against sympy.
 
 sympy is an independent implementation of polynomial arithmetic, exact
 division, matrix rank and inversion over Q(q,h); every input here is drawn
@@ -13,7 +13,9 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from qhcontract.coeffring import Coeff, NotDivisible, QHPoly
-from qhcontract.matalg import NotInvertible, ScalMat, _bareiss
+from qhcontract.grgroup import builtin_algebras
+from qhcontract.matalg import NotInvertible, ScalMat
+from qhcontract.rewrite import OrientationFailure, _bareiss, orient
 
 Q, H = sympy.symbols("q h")
 
@@ -243,3 +245,70 @@ def test_inverse_rejects_singular_matrices():
         rows[i] = [c * x for x in rows[j]]
         with pytest.raises(NotInvertible):
             ScalMat(rows).inverse()
+
+
+BUILTINS = sorted(builtin_algebras())
+
+
+def rref_rules(spec):
+    """The relation rules that sympy's reduced row echelon form of the
+    relations over Z(q,h) gives, columns largest word first, as
+    ``{lhs: {word: coefficient}}``."""
+    words = spec.degree2_words()[::-1]
+    rows = [[to_field(r.coefficient(w)) for w in words] for r in spec.relations]
+    rref, pivots = DomainMatrix(rows, (len(rows), len(words)), FIELD).rref()
+    return {words[p]: {w: -x for w, x in zip(words, row) if x and w != words[p]}
+            for p, row in zip(pivots, rref.to_list())}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_orient_gives_the_reduced_echelon_form_of_the_relations(name):
+    spec = builtin_algebras()[name]
+    rules = orient(spec).rules
+    want = rref_rules(spec)
+    assert len(want) == len(spec.relations)
+    assert {lhs: {w: to_field(c) for w, c in rules[lhs].terms.items()} for lhs in want} == want
+    # every other rule is a cross-family swap
+    family = [g.family for g in spec.generators]
+    assert all(family[a] != family[b] for a, b in set(rules) - set(want))
+
+
+def with_relations(name, combine):
+    """A fresh copy of a builtin whose relations are ``combine(relations)``."""
+    spec = builtin_algebras()[name]
+    relations = list(spec.relations)
+    spec.relations.clear()
+    for r in combine(relations):
+        spec.add_relation(r)
+    return spec
+
+
+def mixed(rng, relations):
+    """The relations recombined by a unimodular matrix."""
+    n = len(relations)
+    rows = unimodular_rows(rng, n) if n > 1 else [[rng.choice(UNITS)]]
+    zero = relations[0].algebra.zero()
+    return [sum((c * r for c, r in zip(row, relations) if c), zero) for row in rows]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_orient_depends_on_the_span_of_the_relations_not_their_form(name):
+    # a search for a unit leading coefficient relation by relation refuses
+    # some of these mixes
+    rng = random.Random(f"mix {name}")
+    want = {lhs: str(rhs) for lhs, rhs in orient(builtin_algebras()[name]).rules.items()}
+    for _ in range(5):
+        rules = orient(with_relations(name, lambda rs: mixed(rng, rs))).rules
+        assert {lhs: str(rhs) for lhs, rhs in rules.items()} == want
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("factor", ["h", "h+1", "q+1"])
+def test_orient_refuses_a_relation_scaled_by_a_non_unit(name, factor):
+    # the relations are independent, so the minor on the leading words is
+    # scaled by the factor too
+    d = {"q+1": Qc + ONE, "h": Hc, "h+1": Hc + ONE}[factor]
+    k = random.Random(f"scale {name} {factor}").randrange(len(builtin_algebras()[name].relations))
+    spec = with_relations(name, lambda rs: [d * r if i == k else r for i, r in enumerate(rs)])
+    with pytest.raises(OrientationFailure, match="is not a unit$"):
+        orient(spec)
