@@ -33,7 +33,6 @@ from .contract import (
     Contraction,
     DegreeError,
     MissingImage,
-    RankDrop,
     RelationSpan,
     Substitution,
     contract_relations,
@@ -62,7 +61,6 @@ __all__ = [
     "OverlapWitness",
     "PoleAtQ1",
     "QHPoly",
-    "RankDrop",
     "RelationSpan",
     "RuleSystem",
     "ScalMat",

@@ -26,7 +26,8 @@ labelled ``<command> [label]``, and ``covariance`` under its plain command.
 the :class:`~qhcontract.contract.Contraction` that
 :func:`~qhcontract.contract.contract_relations` returns, as criteria 1-3
 do, with the same falsified witness.  The ``nf`` and ``qybe`` subcommands
-run their argument as a script command with no line number.
+run their argument as a script command with no line number, after the
+definitions of the file it names, if it names one, in the same script.
 Output is deterministic: identical scripts produce byte-identical reports.
 """
 
@@ -62,7 +63,11 @@ from .suite import (LIMIT_DIFFERS, Verdict, covariance_verdict, inverse_verdicts
 
 
 class Runner:
-    """Executes a parsed script against the builtin objects."""
+    """Executes parsed scripts against the builtin objects.
+
+    Each :meth:`run` is one script and starts with no user definitions, as
+    a fresh ``qhcontract run`` process does; the builtins are shared.
+    """
 
     def __init__(self):
         self.names: dict[str, object] = {}
@@ -104,6 +109,7 @@ class Runner:
     # script execution ----------------------------------------------------------
 
     def run(self, nodes) -> list[Verdict]:
+        self.names = {}
         verdicts = []
         for node in nodes:
             handler = getattr(self, "_run_" + node.kind.replace("-", "_"))
@@ -349,30 +355,34 @@ def report(verdicts, porcelain: bool, out=None) -> None:
         )
 
 
-def _load_definitions(path: str, runner: Runner):
-    with open(path, "r", encoding="utf-8") as fh:
+def _run_with_definitions(runner: Runner, name_or_file: str, kind: str, noun: str,
+                          command) -> list[Verdict]:
+    """Run the command node ``command(name)``.
+
+    ``name_or_file`` is the name itself or a definitions file.  A file's
+    definitions and the command on the one ``kind`` node it defines run as
+    one script; a failed definition, like a malformed file, is a
+    :class:`ParseError`.
+    """
+    if not os.path.exists(name_or_file):
+        return runner.run([command(name_or_file)])
+    with open(name_or_file, "r", encoding="utf-8") as fh:
         nodes = parse_script(fh.read())
     commands = [n for n in nodes if n.kind not in ("algebra", "mat")]
     if commands:
         raise ParseError(
-            f"{path} must contain only definitions (found {commands[0].kind!r})",
+            f"{name_or_file} must contain only definitions (found {commands[0].kind!r})",
             commands[0].line,
         )
-    verdicts = runner.run(nodes)
-    if verdicts:  # only error verdicts can come from definitions
-        raise ParseError(verdicts[0].witness or "definition failed")
-    return nodes
-
-
-def _defined_name(name_or_file: str, runner: Runner, kind: str, noun: str) -> str:
-    """The name itself, or that of the one ``kind`` node a definitions file holds."""
-    if not os.path.exists(name_or_file):
-        return name_or_file
-    nodes = _load_definitions(name_or_file, runner)
     names = [n.payload["name"] for n in nodes if n.kind == kind]
-    if len(names) != 1:
+    node = command(names[0]) if len(names) == 1 else None
+    verdicts = runner.run(nodes if node is None else nodes + [node])
+    if verdicts and (node is None or verdicts[0].command != node.text):
+        # a definition gives a verdict only when it fails, which ends the script
+        raise ParseError(verdicts[0].witness or "definition failed")
+    if node is None:
         raise ParseError(f"{name_or_file} must define exactly one {noun}")
-    return names[0]
+    return verdicts
 
 
 def main(argv=None) -> int:
@@ -410,12 +420,14 @@ def main(argv=None) -> int:
         elif args.command == "verify-paper":
             verdicts = runner.run([Node("verify-paper", None, "verify-paper", {"args": []})])
         elif args.command == "nf":
-            name = _defined_name(args.algebra, runner, "algebra", "algebra")
-            text = f'nf {name} "{args.expr}"'
-            verdicts = runner.run([Node("nf", None, text, {"algebra": name, "expr": args.expr})])
+            verdicts = _run_with_definitions(
+                runner, args.algebra, "algebra", "algebra",
+                lambda name: Node("nf", None, f'nf {name} "{args.expr}"',
+                                  {"algebra": name, "expr": args.expr}))
         elif args.command == "qybe":
-            name = _defined_name(args.rmatrix, runner, "mat", "matrix")
-            verdicts = runner.run([Node("qybe", None, f"qybe {name}", {"args": [name]})])
+            verdicts = _run_with_definitions(
+                runner, args.rmatrix, "mat", "matrix",
+                lambda name: Node("qybe", None, f"qybe {name}", {"args": [name]}))
         else:  # pragma: no cover
             parser.error("unknown command")
     except (ParseError, OSError) as exc:

@@ -3,11 +3,17 @@
 A relation set is contracted by viewing it as a subspace of the degree-2
 word space and taking the limit of that subspace at q = 1, not by taking
 naive term-by-term limits: individual substituted relations can carry
-(q-1)-poles that only cancel against other relations.  The limit is
-computed by the standard flat-limit loop: make each row (q-1)-primitive,
-evaluate at q = 1, and while the rank drops, replace one row by a
-vanishing combination divided by (q-1).  Each replacement strictly lowers
-the (q-1)-valuation of the row wedge, so the loop terminates.
+(q-1)-poles that only cancel against other relations.  :func:`limit_span`
+computes the flat limit in one pass over the (q-1)-primitive rows, last
+to first: each row's value at q = 1 is reduced against the values
+already accepted; a row whose value stays nonzero is accepted, and
+otherwise the vanishing combination, divided by its power of (q-1),
+replaces it and is reduced again, or the row is dropped when the
+combination is zero.  While the row is independent of the accepted ones,
+each replacement strictly lowers the (q-1)-valuation of their wedge, a
+number the rows' degrees in q bound; a row replaced more often is
+dependent and is dropped too, so the pass ends.  The accepted rows
+number the rank of the span over Q(q,h), which the span keeps.
 
 :func:`contract_relations` is the whole pipeline, and the only place that
 chains its steps: apply an invertible :class:`Substitution` to the source
@@ -17,17 +23,18 @@ and the script ``contract`` command only render its :class:`Contraction`.
 :func:`extend` is the homomorphic extension of any generator map, also of
 one with images of higher degree.
 
-All linear algebra here is fraction-free over Q[q,h] and goes through
-the one Bareiss routine, :func:`~qhcontract.rewrite._bareiss`, which also
-orients relations and inverts a :class:`Substitution`'s matrix.  It
-returns the rank and the echelon rows; with an identity block carried
-along, the rows below the rank are a basis of the left kernel.  Rows of
-localized scalars are lifted to polynomial rows by clearing their unit
-denominators and then made primitive (common q, h, (q-1) and rational
-factors stripped), which does not change any span; the lifted rows then
-have integer coefficients, which the scalar layer stores as plain
-``int``.  A :class:`RelationSpan` ranks its rows at most once and keeps
-the result, and each round of the limit loop is a single elimination.
+All linear algebra here is fraction-free over Q[q,h].  Ranks and the
+union of :func:`span_equal` go through the one Bareiss routine,
+:func:`~qhcontract.rewrite._bareiss`, which also orients relations and
+inverts a :class:`Substitution`'s matrix; :func:`limit_span` takes its
+step, :func:`~qhcontract.rewrite._reduce`, row by row, on values at
+q = 1 with an identity block carried along.  Rows of localized scalars
+are lifted to polynomial rows by clearing their unit denominators and
+then made primitive (common q, h, (q-1) and rational factors stripped),
+which does not change any span; the lifted rows then have integer
+coefficients, which the scalar layer stores as plain ``int``.  A
+:class:`RelationSpan` ranks its rows at most once and keeps the result,
+so a contraction ranks only its target.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
 from .matalg import NotInvertible, ScalMat
-from .rewrite import _bareiss, _clear_row
+from .rewrite import _bareiss, _clear_row, _reduce
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -52,10 +59,6 @@ class BadSubstitution(ValueError):
 
 class DegreeError(ValueError):
     """A relation span was built from non-quadratic relations."""
-
-
-class RankDrop(Exception):
-    """The subspace limit could not restore the original rank."""
 
 
 class Substitution:
@@ -199,39 +202,60 @@ def span_equal(a: RelationSpan, b: RelationSpan) -> bool:
 
 
 def limit_span(sp: RelationSpan) -> RelationSpan:
-    """Limit of the row span at q = 1, returned over polynomials in h."""
+    """Limit of the row span at q = 1, returned over polynomials in h.
+
+    One pass over the primitive rows, last to first.  Each row's value at
+    q = 1 is reduced by fraction-free steps against the echelon rows of
+    the values accepted so far, and an identity block records the reduced
+    value as a combination of the rows.  A row whose value stays nonzero
+    is accepted as it is.  Otherwise the combination, taken of the rows
+    themselves, has the row first and vanishes at q = 1: zero means the
+    row is dependent and is dropped, anything else, made primitive, takes
+    the row's place and is reduced again.
+
+    While the row is independent of the accepted rows, each replacement
+    lowers the (q-1)-valuation of their wedge with it, and the value is
+    accepted once that valuation is 0.  The valuation is at most the
+    wedge's degree in q, at most the sum of the q-degrees of the accepted
+    rows and of the row as it came, so a row still not accepted after that
+    many replacements is dependent and is dropped: a dependence with a
+    coefficient like 1/(q+1) never gives a zero combination.  The accepted
+    rows number the rank of ``sp`` over Q(q,h), which ``sp`` keeps.
+    """
     rows = list(sp._primitive_rows())
-    if not rows:
-        return RelationSpan(sp.algebra, sp.basis, [])
-    r0 = sp.rank()
-    ncols = len(sp.basis)
+    n, ncols = len(rows), len(sp.basis)
     zero, one = QHPoly.zero(), QHPoly.one()
-    for _ in range(10000):
-        evaluated = [[p.at_q1() for p in row] for row in rows]
-        # the identity block records each echelon row as a combination of
-        # the evaluated rows; below the rank that combination vanishes
-        k = len(rows)
-        rank, m = _bareiss([row + [one if j == i else zero for j in range(k)]
-                            for i, row in enumerate(evaluated)], ncols)
-        if rank == r0:
-            out = RelationSpan(sp.algebra, sp.basis,
-                               [[Coeff(p) for p in _primitive(row)] for row in evaluated])
-            # its rows are the evaluated rows up to unit factors
-            out._rank = rank
-            return out
-        combo = m[rank][ncols:]
-        v = [zero] * ncols
-        for t, row in zip(combo, rows):
-            if t.is_zero():
-                continue
-            v = [acc + t * p for acc, p in zip(v, row)]
-        target = next(i for i, t in enumerate(combo) if not t.is_zero())
-        if all(p.is_zero() for p in v):
-            # the original rows were dependent; dropping one keeps the span
-            del rows[target]
-        else:
-            rows[target] = _primitive(v)
-    raise RankDrop("subspace limit did not stabilize")  # pragma: no cover
+    echelon = []  # (pivot column, reduced value and identity block) per accepted row
+    kept = []
+    kept_qdeg = 0  # sum of the accepted rows' q-degrees
+    for i in reversed(range(n)):
+        # an independent row is accepted within this many attempts
+        for _ in range(_qdeg(rows[i]) + kept_qdeg + 1):
+            value = [p.at_q1() for p in rows[i]]
+            v = value + [one if j == i else zero for j in range(n)]
+            prev = one
+            for col, top in echelon:
+                _reduce(v, top, col, prev)
+                prev = top[col]
+            col = next((j for j in range(ncols) if v[j]), None)
+            if col is not None:
+                echelon.append((col, v))
+                kept.append(value)
+                kept_qdeg += _qdeg(rows[i])
+                break
+            combo = [zero] * ncols
+            for t, row in zip(v[ncols:], rows):
+                if t:
+                    combo = [acc + t * p if p else acc for acc, p in zip(combo, row)]
+            if not any(combo):
+                break
+            rows[i] = _primitive(combo)
+    sp._rank = len(kept)
+    out = RelationSpan(sp.algebra, sp.basis,
+                       [[Coeff(p) for p in _primitive(value)] for value in reversed(kept)])
+    # the kept values are independent: their reductions are the echelon rows
+    out._rank = len(kept)
+    return out
 
 
 class Contraction(NamedTuple):
@@ -253,6 +277,11 @@ def contract_relations(sub: Substitution) -> Contraction:
 
 
 # -- fraction-free helpers ----------------------------------------------------
+
+
+def _qdeg(row) -> int:
+    """Largest power of q in a row of polynomials."""
+    return max((a for p in row for a, _b in p.terms), default=0)
 
 
 def _primitive(row):

@@ -2,7 +2,8 @@
 
 Orientation reads the rules off the relations' reduced row echelon form
 over the degree-2 words, largest word first, from :func:`_bareiss`, the
-package's one fraction-free elimination, at the end of this module.  Each
+package's one fraction-free elimination, at the end of this module; the
+subspace limit takes its row step, :func:`_reduce`, on its own.  Each
 pivot word becomes a rule left-hand side; the relations' minor on these
 words must be a unit.  Every rhs word is smaller than its lhs, so
 reduction terminates.  Cross-family swap rules u*v -> sign * v*u are added
@@ -286,8 +287,6 @@ def _bareiss(rows, ncols):
     if not nrows:
         return 0, []
     m = [list(row) for row in rows]
-    width = len(m[0])
-    zero = QHPoly.zero()
     rank = 0
     prev = QHPoly.one()
     for col in range(ncols):
@@ -297,23 +296,28 @@ def _bareiss(rows, ncols):
         piv = next((r for r in nonzero if Coeff(m[r][col]).is_unit()), nonzero[0])
         m.insert(rank, m.pop(piv))
         top = m[rank]
-        p = top[col]
         for row in m[rank + 1:]:
-            cr = row[col]
-            if not cr and p == prev:
-                continue  # each entry x becomes x * p / prev = x
-            for c in range(col + 1, width):
-                x, y = row[c], top[c]
-                if cr and y:
-                    row[c] = (x * p - cr * y).exact_div(prev)
-                elif x:
-                    row[c] = (x * p).exact_div(prev)
-            row[col] = zero
-        prev = p
+            _reduce(row, top, col, prev)
+        prev = top[col]
         rank += 1
         if rank == nrows:
             break
     return rank, m
+
+
+def _reduce(row, top, col, prev):
+    """One fraction-free step, in place: every entry x of ``row`` becomes
+    (x * p - c * y) / prev, with p = ``top[col]``, c = ``row[col]`` and y
+    the entry of the pivot row ``top`` in x's column.  The division is exact
+    when ``prev`` is the pivot of the step before, as in :func:`_bareiss`;
+    the entry in ``col`` becomes zero."""
+    p, c = top[col], row[col]
+    if c:
+        row[:] = [(x * p - c * y).exact_div(prev) if y else (x * p).exact_div(prev) if x else x
+                  for x, y in zip(row, top)]
+    elif p != prev:
+        row[:] = [(x * p).exact_div(prev) if x else x for x in row]
+    # else each entry x becomes x * p / prev = x
 
 
 def _back_substitute(m, pivots):

@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from qhcontract.coeffring import Coeff, QHPoly
-from qhcontract.contract import RelationSpan
-from qhcontract.rewrite import OverlapWitness
-from qhcontract.superalgebra import Element
+from qhcontract.contract import RelationSpan, Substitution, _primitive
+from qhcontract.grgroup import h_dual_plane
+from qhcontract.rewrite import OverlapWitness, _bareiss
+from qhcontract.superalgebra import AlgebraSpec, Element
 
 
 def random_coeff(rng: random.Random, q1_free: bool = False) -> Coeff:
@@ -165,6 +166,56 @@ def in_ideal_component(spec, e: Element) -> bool:
     words, rows, base = _ideal_component(spec, deg)
     vec = [e.coefficient(w) for w in words]
     return RelationSpan(spec, words, rows + [vec]).rank() == base
+
+
+def wrong_dual_plane_substitution():
+    """The dual-plane contraction from the wrong convention eta'xi' + q*xi'eta'.
+
+    It flips the sign of eta^2 = h*eta*xi, so its limit misses the h-dual plane.
+    """
+    q = Coeff.q()
+    f = Coeff.h() / (q - Coeff.one())
+    wrong = AlgebraSpec.build(
+        "qdual-wrong", [("eta'", "odd", "coord", 1), ("xi'", "odd", "coord", 0)]
+    )
+    eta, xi = wrong.gen_elements("eta' xi'")
+    wrong.add_relation(eta * eta)
+    wrong.add_relation(xi * xi)
+    wrong.add_relation(eta * xi + q * (xi * eta))
+    hdp = h_dual_plane()
+    eta_h, xi_h = hdp.gen_elements("eta xi")
+    return Substitution.by_name(wrong, hdp, {"eta'": eta_h + f * xi_h, "xi'": xi_h})
+
+
+def round_loop_limit(sp: RelationSpan) -> RelationSpan:
+    """The limit at q = 1 of ``sp``, whose rows must be independent over
+    Q(q,h), by rounds of whole eliminations.
+
+    Each round evaluates every row at q = 1 and eliminates all of them with
+    an identity block; while the rank there is below the number of rows,
+    the first vanishing combination, divided by its power of (q-1),
+    replaces its first row.  An oracle for contract.limit_span, which takes
+    one pass instead and also drops dependent rows.
+    """
+    rows = list(sp._primitive_rows())
+    ncols = len(sp.basis)
+    zero, one = QHPoly.zero(), QHPoly.one()
+    while True:
+        evaluated = [[p.at_q1() for p in row] for row in rows]
+        k = len(rows)
+        r, m = _bareiss([row + [one if j == i else zero for j in range(k)]
+                         for i, row in enumerate(evaluated)], ncols)
+        if r == k:
+            return RelationSpan(sp.algebra, sp.basis,
+                                [[Coeff(p) for p in _primitive(row)] for row in evaluated])
+        combo = m[r][ncols:]
+        v = [zero] * ncols
+        for t, row in zip(combo, rows):
+            if t:
+                v = [acc + t * p for acc, p in zip(v, row)]
+        # independent rows have no vanishing combination
+        assert any(v)
+        rows[next(i for i, t in enumerate(combo) if t)] = _primitive(v)
 
 
 def demo_algebras(name: str) -> dict:

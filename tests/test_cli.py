@@ -223,6 +223,26 @@ def test_contract_command_verifies_plane():
     assert any("ranks" in d for d in verdicts[0].details)
 
 
+def test_contract_of_a_relation_given_twice_up_to_a_factor_q_plus_1():
+    # the second relation is (q+1) times the first: the limit keeps one
+    verdicts, _ = run_script(
+        """
+        algebra P
+          gen u parity=even family=main prec=1
+          gen v parity=even family=main prec=0
+          rel u*v = q*v*u
+          rel (q+1)*u*v = (q+1)*q*v*u
+        end
+        contract P hplane
+          subst u = x + (h/(q-1))*y
+          subst v = y
+        end
+        """
+    )
+    assert [(v.status, v.details) for v in verdicts] == [("verified", (
+        "limiting relations:", "  -x*y + y*x + h*y^2", "ranks: substituted 1, limit 1, target 1"))]
+
+
 def test_contract_missing_image():
     verdicts, _ = run_script("contract qplane hplane\n subst x' = x\nend")
     assert verdicts[0].status == "error"
@@ -412,6 +432,53 @@ def test_main_nf_with_definitions_file(tmp_path, capsys):
     )
     assert main(["nf", "--algebra", str(defs), "--expr", "x*y - q*y*x"]) == 0
     assert "normal form: 0" in capsys.readouterr().out
+
+
+def test_each_run_is_one_script():
+    # a Runner's names last one script, as in a fresh process; the builtins stay
+    runner = Runner()
+    plane = "algebra P\n gen x prec=1\n gen y prec=0\n rel x*y = q*y*x\nend\n"
+    assert runner.run(parse_script(plane + 'nf P "x*y"\n'))[0].status == "verified"
+    first = runner.names["P"]
+    verdicts = runner.run(parse_script('nf P "x*y"\n'))
+    assert [(v.status, v.witness) for v in verdicts] == [("error", "line 1: unknown algebra 'P'")]
+    verdicts = runner.run(parse_script(plane + 'nf P "x*y"\nnf GRh2 "beta*alpha"\n'))
+    assert [v.status for v in verdicts] == ["verified", "verified"]
+    assert runner.names["P"] is not first
+
+
+NF = ["nf", "--algebra", "{path}", "--expr", "x"]
+QYBE = ["qybe", "--rmatrix", "{path}"]
+# definitions file, command line, stdout, stderr; every case exits 2
+BAD_DEFINITIONS = {
+    "bad relation": ("algebra P\n gen x prec=1\n gen y prec=0\n rel x*y\nend\n", NF, "",
+                     "error: line 4: a relation needs exactly one '='\n"),
+    "defined twice": ("algebra P\n gen x\nend\nalgebra P\n gen y\nend\n", NF, "",
+                      "error: line 4: name 'P' is already defined\n"),
+    "two algebras": ("algebra P\n gen x\nend\nalgebra R\n gen y\nend\n", NF, "",
+                     "error: {path} must define exactly one algebra\n"),
+    "a command": ('algebra P\n gen x\nend\nnf P "x"\n', NF, "",
+                  "error: line 4: {path} must contain only definitions (found 'nf')\n"),
+    "short matrix": ("mat myR 4 [ 1, -h, h, h^2 ; 0, 1, 0, -h ; 0, 0, 1, h ]\n", QYBE, "",
+                     "error: line 1: expected 4 rows, got 3\n"),
+    "2x2 matrix": ("mat myR 2 [ 1, 0 ; 0, 1 ]\n", QYBE,
+                   "[ERR ] qybe myR\n       witness: qybe expects a 4x4 scalar matrix\n"
+                   "0 verified, 0 falsified, 1 errors\n", ""),
+    "2x2 matrix, porcelain": ("mat myR 2 [ 1, 0 ; 0, 1 ]\n", ["--porcelain"] + QYBE,
+                              "error\tqybe myR\tqybe expects a 4x4 scalar matrix\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DEFINITIONS))
+def test_definitions_files_keep_their_errors(tmp_path, capsys, case):
+    # the file's definitions and the command run as one script; a failed
+    # definition is still an error line on stderr, not a verdict
+    defs, argv, out, err = BAD_DEFINITIONS[case]
+    path = tmp_path / "defs.qh"
+    path.write_text(defs, encoding="utf-8")
+    assert main([a.format(path=path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err.format(path=path))
 
 
 CYCLIC = ("algebra cyc\n gen x prec=0\n gen y prec=1\n gen z prec=2\n"

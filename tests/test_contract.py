@@ -154,24 +154,11 @@ def test_dual_plane_contraction():
 
 
 def test_dual_plane_wrong_convention_misses_target():
-    # with eta'xi' + q*xi'eta' the contraction flips the sign of eta^2 = h*eta*xi
-    from qhcontract.superalgebra import AlgebraSpec
+    from conftest import wrong_dual_plane_substitution
 
-    wrong = AlgebraSpec.build(
-        "qdual-wrong", [("eta'", "odd", "coord", 1), ("xi'", "odd", "coord", 0)]
-    )
-    eta, xi = wrong.gen_elements("eta' xi'")
-    wrong.add_relation(eta * eta)
-    wrong.add_relation(xi * xi)
-    wrong.add_relation(eta * xi + Q * (xi * eta))
-    hdp = h_dual_plane()
-    eta_h, xi_h = hdp.gen_elements("eta xi")
-    images = {
-        wrong.generator_named("eta'").gid: eta_h + F * xi_h,
-        wrong.generator_named("xi'").gid: xi_h,
-    }
-    s = Substitution(wrong, hdp, images)
-    sp = limit_span(relation_span([s.apply(r) for r in wrong.relations], hdp))
+    s = wrong_dual_plane_substitution()
+    hdp = s.target
+    sp = limit_span(relation_span([s.apply(r) for r in s.source.relations], hdp))
     assert not span_equal(sp, relation_span(hdp.relations, hdp))
 
 
@@ -218,8 +205,9 @@ def test_limit_span_of_q_free_span_is_identity_on_rows():
 
 
 def test_kept_ranks_match_fresh_spans():
-    # a span keeps its rank, and limit_span hands its last elimination's rank
-    # to the span it returns; a span rebuilt from the same rows must agree
+    # a span keeps its rank, and limit_span hands the number of rows it
+    # accepted to its input and to the span it returns; a span rebuilt from
+    # the same rows must agree
     cases = [
         (plane_substitution(q_plane(), h_plane()), 1),
         (dual_plane_substitution(q_dual_plane(), h_dual_plane()), 3),
@@ -231,3 +219,29 @@ def test_kept_ranks_match_fresh_spans():
         assert sp.rank() == lim.rank() == rank
         assert RelationSpan(sp.algebra, sp.basis, sp.rows).rank() == rank
         assert RelationSpan(lim.algebra, lim.basis, lim.rows).rank() == rank
+
+
+def test_a_contraction_takes_three_eliminations_and_none_over_q(monkeypatch):
+    # the substitution's inverse, the target's rank and span_equal's union;
+    # limit_span eliminates nothing through _bareiss and hands the substituted
+    # span its rank
+    import qhcontract.contract as contract
+    import qhcontract.matalg as matalg
+    import qhcontract.rewrite as rewrite
+
+    calls = []
+
+    def counted(bareiss):
+        def run(rows, ncols):
+            calls.append(rows)
+            return bareiss(rows, ncols)
+        return run
+
+    for module in (contract, matalg, rewrite):
+        monkeypatch.setattr(module, "_bareiss", counted(module._bareiss))
+    s = q_to_h_substitution(gr_q2(), gr_h2())
+    assert len(calls) == 1  # the inverse, whose lifted rows carry (q-1)
+    c = contract_relations(s)
+    assert c.ok and c.substituted.rank() == 10
+    assert len(calls) <= 3
+    assert all(a == 0 for rows in calls[1:] for row in rows for p in row for a, _b in p.terms)

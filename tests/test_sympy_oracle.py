@@ -1,4 +1,5 @@
-"""QHPoly arithmetic, the Bareiss routine, ScalMat.inverse and orient checked against sympy.
+"""QHPoly arithmetic, the Bareiss routine, ScalMat.inverse, orient and the
+ranks of limit_span checked against sympy.
 
 sympy is an independent implementation of polynomial arithmetic, exact
 division, matrix rank and inversion over Q(q,h); every input here is drawn
@@ -12,8 +13,12 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import round_loop_limit, wrong_dual_plane_substitution
 from qhcontract.coeffring import Coeff, NotDivisible, QHPoly
-from qhcontract.grgroup import builtin_algebras
+from qhcontract.contract import RelationSpan, limit_span, relation_span, span_equal
+from qhcontract.grgroup import (builtin_algebras, dual_plane_substitution, gr_h2, gr_q2,
+                                h_dual_plane, h_plane, plane_substitution, q_dual_plane,
+                                q_plane, q_to_h_substitution)
 from qhcontract.matalg import NotInvertible, ScalMat
 from qhcontract.rewrite import OrientationFailure, _bareiss, orient
 
@@ -312,3 +317,84 @@ def test_orient_refuses_a_relation_scaled_by_a_non_unit(name, factor):
     spec = with_relations(name, lambda rs: [d * r if i == k else r for i, r in enumerate(rs)])
     with pytest.raises(OrientationFailure, match="is not a unit$"):
         orient(spec)
+
+
+def substituted(sub):
+    return relation_span(map(sub.apply, sub.source.relations), sub.target)
+
+
+def checked_limit(sp):
+    """limit_span of sp after checking it against the round loop and sympy.
+
+    The limit spans what the round loop's limit of a sympy-chosen basis of
+    the rows spans and is q-free, and its rank and the rank sp keeps are
+    sympy's rank of sp over Q(q,h).
+    """
+    m = DomainMatrix([[to_field(c) for c in row] for row in sp.rows],
+                     (len(sp.rows), len(sp.basis)), FIELD)
+    independent = m.transpose().rref()[1]
+    want = len(independent)
+    oracle = round_loop_limit(RelationSpan(sp.algebra, sp.basis,
+                                           [sp.rows[i] for i in independent]))
+    lim = limit_span(sp)
+    assert sp.rank() == lim.rank() == want
+    assert RelationSpan(lim.algebra, lim.basis, lim.rows).rank() == want
+    assert span_equal(lim, oracle)
+    assert all(c.qpow == c.q1pow == 0 and all(a == 0 for a, _b in c.num.terms)
+               for row in lim.rows for c in row)
+    return lim
+
+
+def hits_target(sub, lim):
+    return span_equal(lim, relation_span(sub.target.relations, sub.target))
+
+
+@pytest.mark.parametrize("case", ["plane", "dual plane", "GRq2 -> GRh2", "wrong dual plane"])
+def test_limit_span_of_the_paper_contractions(case):
+    sub = {
+        "plane": lambda: plane_substitution(q_plane(), h_plane()),
+        "dual plane": lambda: dual_plane_substitution(q_dual_plane(), h_dual_plane()),
+        "GRq2 -> GRh2": lambda: q_to_h_substitution(gr_q2(), gr_h2()),
+        "wrong dual plane": wrong_dual_plane_substitution,
+    }[case]()
+    assert hits_target(sub, checked_limit(substituted(sub))) == (case != "wrong dual plane")
+
+
+def test_limit_span_of_seeded_contractions():
+    # GRq2 onto GRh2 with h -> c*h, as the contract-sweep benchmark draws
+    # them; every fifth substitution takes another c and must miss
+    grq = gr_q2()
+    for i in range(40):
+        rng = random.Random(f"limit {i}")
+        draw = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        c_target = c_subst = draw()
+        control = i % 5 == 4
+        while control and c_subst == c_target:
+            c_subst = draw()
+        sub = q_to_h_substitution(grq, gr_h2(h=Coeff.rational(c_target) * Hc),
+                                  h=Coeff.rational(c_subst) * Hc)
+        assert hits_target(sub, checked_limit(substituted(sub))) != control
+
+
+@pytest.mark.parametrize("case", ["duplicate", "times q-1", "sum of two",
+                                  "times q+1 after 0", "times q+1 after 4", "times q+1 after 9"])
+def test_limit_span_drops_dependent_rows(case):
+    sub = q_to_h_substitution(gr_q2(), gr_h2())
+    rows = substituted(sub).rows
+
+    def times_q_plus_1_after(k):
+        # the pass takes this row first; row k is then 1/(q+1) times an
+        # accepted row, and none of its vanishing combinations is zero
+        return [[(Qc + ONE) * c for c in rows[k]]], k + 1
+
+    extra, at = {
+        "duplicate": ([rows[3]], len(rows)),
+        "times q-1": ([[(Qc - ONE) * c for c in rows[5]]], 0),
+        "sum of two": ([[a + b for a, b in zip(rows[1], rows[7])]], 4),
+        "times q+1 after 0": times_q_plus_1_after(0),
+        "times q+1 after 4": times_q_plus_1_after(4),
+        "times q+1 after 9": times_q_plus_1_after(9),
+    }[case]
+    sp = RelationSpan(sub.target, substituted(sub).basis, rows[:at] + extra + rows[at:])
+    assert len(sp.rows) == 11
+    assert hits_target(sub, checked_limit(sp))
