@@ -22,8 +22,6 @@ from .matalg import (
     AlgMat,
     NotInvertible,
     ScalMat,
-    embed1,
-    embed2,
     qybe_residual,
     rtt_residual,
     similarity,
@@ -67,8 +65,6 @@ __all__ = [
     "Substitution",
     "coeff",
     "contract_relations",
-    "embed1",
-    "embed2",
     "grgroup",
     "limit_span",
     "orient",

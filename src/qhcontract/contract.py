@@ -18,7 +18,9 @@ number the rank of the span over Q(q,h), which the span keeps.
 :func:`contract_relations` is the whole pipeline, and the only place that
 chains its steps: apply an invertible :class:`Substitution` to the source
 relations, take the :func:`limit_span` of their :func:`relation_span` and
-compare it with the target relations by :func:`span_equal`.  The suite
+compare it with the target relations by :func:`span_equal`.  Equal spans
+over Q(h) are not enough over the ring: the target's relations must also
+have a unit minor on their leading words, or it is an error.  The suite
 and the script ``contract`` command only render its :class:`Contraction`.
 :func:`extend` is the homomorphic extension of any generator map, also of
 one with images of higher degree.
@@ -43,7 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .coeffring import Coeff, QHPoly
+from .coeffring import Coeff, NotAUnit, QHPoly
 from .matalg import NotInvertible, ScalMat
 from .rewrite import _bareiss, _clear_row, _reduce
 from .superalgebra import AlgebraSpec, Element
@@ -269,14 +271,35 @@ class Contraction(NamedTuple):
 
 def contract_relations(sub: Substitution) -> Contraction:
     """Substitute the source relations, take the span's limit at q = 1 and
-    compare it with the span of the target algebra's relations."""
+    compare it with the span of the target algebra's relations.
+
+    Raises :class:`NotAUnit` when the spans agree but the target's minor on
+    its leading words is not a unit: h is not a unit, so the target may
+    span the limit over Q(h) only, as ``h * (x*y - y*x - h*y^2)`` does.
+    """
     substituted = relation_span(map(sub.apply, sub.source.relations), sub.target)
     limit = limit_span(substituted)
     target = relation_span(sub.target.relations, sub.target)
-    return Contraction(substituted, limit, target, span_equal(limit, target))
+    minor = _leading_minor(target)
+    ok = span_equal(limit, target)
+    if ok and not Coeff(minor).is_unit():
+        raise NotAUnit(f"minor {minor} of the target relations on their leading words "
+                       "is not a unit: they span the limit over Q(h) only")
+    return Contraction(substituted, limit, target, ok)
 
 
 # -- fraction-free helpers ----------------------------------------------------
+
+
+def _leading_minor(sp: RelationSpan) -> QHPoly:
+    """The last Bareiss pivot of ``sp``'s rows, lifted but not made
+    primitive, on the words largest first as in
+    :func:`~qhcontract.rewrite.orient`; ``sp`` keeps the rank."""
+    order = sorted(range(len(sp.basis)), key=lambda j: sp.algebra.word_key(sp.basis[j]),
+                   reverse=True)
+    rank, m = _bareiss([_clear_row([row[j] for j in order]) for row in sp.rows], len(order))
+    sp._rank = rank
+    return next(x for x in m[rank - 1] if x) if rank else QHPoly.one()
 
 
 def _qdeg(row) -> int:

@@ -127,8 +127,9 @@ def gr_q2() -> AlgebraSpec:
 
 
 def gr_h2(h=None) -> AlgebraSpec:
-    # precedence gamma < alpha < delta < beta: the unique shipped order under
-    # which the beta^2 relation orients with all rhs words smaller
+    # precedence gamma < alpha < delta < beta: one of the two orders of the
+    # 24 under which the relations orient; the other is delta < gamma <
+    # alpha < beta, and both are confluent
     spec = AlgebraSpec.build(
         "GRh2",
         [
@@ -300,14 +301,10 @@ def covariance_problem(source: AlgebraSpec, target: AlgebraSpec,
     )
     for rel in source.relations:
         combined.add_relation(_remap(rel, combined))
-    rows = [
-        [combined.gen_element(entry_gens[0].name), combined.gen_element(entry_gens[1].name)],
-        [combined.gen_element(entry_gens[2].name), combined.gen_element(entry_gens[3].name)],
-    ]
     coord_gids = tuple(
         combined.generator_named(g.name).gid for g in source.generators
     )
-    return CovarianceProblem(AlgMat(combined, rows), target, combined, coord_gids)
+    return CovarianceProblem(entry_matrix(combined), target, combined, coord_gids)
 
 
 def _remap(e: Element, into: AlgebraSpec) -> Element:
@@ -418,18 +415,9 @@ def inverse_check(grh: AlgebraSpec, h=None) -> InverseReport:
     def diag(e):
         return AlgMat(grh, [[e, grh.zero()], [grh.zero(), e]])
 
-    left_res = (left.mat_mul(a_mat) - diag(dl)).normal_form()
-    right_res = (a_mat.mat_mul(right) - diag(dr)).normal_form()
-    exch = AlgMat(
-        grh,
-        [
-            [
-                dl.free_mul(right.rows[i][j]) - left.rows[i][j].free_mul(dr)
-                for j in range(2)
-            ]
-            for i in range(2)
-        ],
-    ).normal_form()
+    left_res = (left * a_mat - diag(dl)).normal_form()
+    right_res = (a_mat * right - diag(dr)).normal_form()
+    exch = (diag(dl) * right - left * diag(dr)).normal_form()
     return InverseReport(left_res, right_res, exch)
 
 

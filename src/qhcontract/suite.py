@@ -159,7 +159,8 @@ def check_q_rtt() -> Verdict:
 
 
 def check_r_matrix_contraction() -> Verdict:
-    gg = grgroup.g_matrix().kron(grgroup.g_matrix())
+    g = grgroup.g_matrix()
+    gg = g.on_legs((0,), 2) * g.on_legs((1,), 2)
     contracted = similarity(gg, grgroup.rq_matrix()).limit_q1().scale(
         Coeff.rational(1) / Coeff.rational(2)
     )

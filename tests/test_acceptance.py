@@ -96,13 +96,13 @@ def test_criterion_10_inverses():
     left, right = grgroup.left_inverse(grh), grgroup.right_inverse(grh)
     dl, dr = grgroup.delta_left(grh), grgroup.delta_right(grh)
 
-    left_prod = left.mat_mul(a_mat)
+    left_prod = left * a_mat
     for i in range(2):
         for j in range(2):
             residual = left_prod.rows[i][j] - (dl if i == j else grh.zero())
             assert in_ideal_component(grh, residual), (i, j)
 
-    right_11 = a_mat.mat_mul(right).rows[0][0] - dr
+    right_11 = (a_mat * right).rows[0][0] - dr
     assert right_11 == -2 * (a * d) - b * c - c * b
     assert not in_ideal_component(grh, right_11)
 

@@ -243,6 +243,28 @@ def test_contract_of_a_relation_given_twice_up_to_a_factor_q_plus_1():
         "limiting relations:", "  -x*y + y*x + h*y^2", "ranks: substituted 1, limit 1, target 1"))]
 
 
+def test_contract_onto_a_target_that_agrees_only_over_q_h_is_an_error():
+    # (h+1) times the h-plane relation spans the limit over Q(h), but at
+    # h = -1 it is the free algebra: its minor h + 1 is not a unit
+    verdicts, _ = run_script(
+        """
+        algebra hp3
+          gen x prec=1
+          gen y prec=0
+          rel (h+1)*x*y = (h+1)*y*x + (h+1)*h*y*y
+        end
+        contract qplane hp3
+          subst x' = x + (h/(q-1))*y
+          subst y' = y
+        end
+        """
+    )
+    assert [(v.status, v.witness) for v in verdicts] == [("error", (
+        "minor h + 1 of the target relations on their leading words is not a unit: "
+        "they span the limit over Q(h) only"))]
+    assert exit_code(verdicts) == 2
+
+
 def test_contract_missing_image():
     verdicts, _ = run_script("contract qplane hplane\n subst x' = x\nend")
     assert verdicts[0].status == "error"

@@ -3,8 +3,10 @@ import pytest
 from qhcontract.coeffring import Coeff
 from qhcontract.contract import relation_span, span_equal
 from qhcontract.matalg import AlgMat
-from qhcontract.rewrite import NotConfluent, orient
-from qhcontract.superalgebra import AlgebraSpec
+import itertools
+
+from qhcontract.rewrite import NotConfluent, OrientationFailure, orient
+from qhcontract.superalgebra import AlgebraSpec, Element
 from qhcontract.grgroup import (
     combined_covariance_span,
     covariance_problem,
@@ -136,14 +138,14 @@ def test_covariance_h0_gives_plain_anticommutation():
 
 def test_left_product_entry_before_reduction(grh):
     a, _b, c, _d = grh.gen_elements("alpha beta gamma delta")
-    prod = left_inverse(grh).mat_mul(entry_matrix(grh))
+    prod = left_inverse(grh) * entry_matrix(grh)
     assert prod.rows[1][0] == -(c * a) - a * c
 
 
 def test_left_inverse_identity_holds(grh, rules_h):
     rep = inverse_check(grh)
     assert rep.left_residual.is_zero()
-    prod = left_inverse(grh).mat_mul(entry_matrix(grh)).normal_form()
+    prod = (left_inverse(grh) * entry_matrix(grh)).normal_form()
     dl = rules_h.normal_form(delta_left(grh))
     assert prod.rows[0][0] == dl and prod.rows[1][1] == dl
     assert prod.rows[0][1].is_zero() and prod.rows[1][0].is_zero()
@@ -164,7 +166,7 @@ def test_right_inverse_identity_fails_as_stated(grh, rules_h):
     diagonal is gamma*beta + delta*alpha rather than the stated determinant.
     Pinned with a rewriting-free ideal-membership certificate."""
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
-    prod = entry_matrix(grh).mat_mul(right_inverse(grh))
+    prod = entry_matrix(grh) * right_inverse(grh)
     offdiag = prod.rows[0][1]
     assert offdiag == a * b + H * (a * d) + b * a + H * (b * c)
     reduced = rules_h.normal_form(offdiag)
@@ -212,7 +214,7 @@ def test_corrected_right_inverse_satisfies_everything(grh, rules_h):
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
     corrected = AlgMat(grh, [[-d, b - H * d], [-c, a - H * c]])
     dr_corrected = c * b + d * a
-    prod = entry_matrix(grh).mat_mul(corrected).normal_form()
+    prod = (entry_matrix(grh) * corrected).normal_form()
     nf_dr = rules_h.normal_form(dr_corrected)
     assert prod.rows[0][0] == nf_dr and prod.rows[1][1] == nf_dr
     assert prod.rows[0][1].is_zero() and prod.rows[1][0].is_zero()
@@ -296,3 +298,20 @@ def test_product_relation_via_naive_reducer(pair):
 def test_gl_q2_target_orients_and_is_confluent():
     rs = orient(gl_q2_target())
     assert brute_force_overlaps(rs, 4) == []
+
+
+def test_gr_h2_orients_under_two_of_the_24_precedence_orders():
+    """Only the shipped precedences and delta < gamma < alpha < beta orient
+    the h-relations; both are confluent."""
+    names = ("alpha", "beta", "gamma", "delta")
+    oriented = {}
+    for prec in itertools.permutations(range(4)):
+        spec = AlgebraSpec.build("GRh2", [(n, "odd", "entry", p) for n, p in zip(names, prec)])
+        for rel in gr_h2().relations:
+            spec.add_relation(Element(spec, rel.terms))
+        try:
+            oriented[prec] = orient(spec).unresolved_overlaps() == []
+        except OrientationFailure:
+            pass
+    assert oriented == {(1, 3, 0, 2): True, (2, 3, 0, 1): True}
+    assert tuple(g.prec for g in gr_h2().generators) == (1, 3, 0, 2)

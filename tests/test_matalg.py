@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qhcontract.coeffring import Coeff, PoleAtQ1
@@ -5,8 +7,6 @@ from qhcontract.matalg import (
     AlgMat,
     NotInvertible,
     ScalMat,
-    embed1,
-    embed2,
     qybe_residual,
     rtt_residual,
     similarity,
@@ -27,8 +27,13 @@ ZERO = Coeff.zero()
 F = H / (Q - ONE)
 
 
+def g_tensor_g():
+    g = g_matrix()
+    return g.on_legs((0,), 2) * g.on_legs((1,), 2)
+
+
 def test_kron_of_g_is_unitriangular_with_f():
-    gg = g_matrix().kron(g_matrix())
+    gg = g_tensor_g()
     assert all(gg.rows[i][i] == ONE for i in range(4))
     assert all(gg.rows[i][j].is_zero() for i in range(4) for j in range(i))
     assert gg.rows[0][1] == F and gg.rows[0][2] == F
@@ -42,13 +47,13 @@ def test_similarity_with_identity():
 
 
 def test_similarity_roundtrip():
-    gg = g_matrix().kron(g_matrix())
+    gg = g_tensor_g()
     r = rq_matrix()
     assert similarity(gg.inverse(), similarity(gg, r)) == r
 
 
 def test_inverse_unitriangular():
-    gg = g_matrix().kron(g_matrix())
+    gg = g_tensor_g()
     assert gg * gg.inverse() == ScalMat.identity(4)
     assert gg.inverse() * gg == ScalMat.identity(4)
 
@@ -85,10 +90,14 @@ def test_rq_at_q1_equals_2I_via_entries():
             assert lim.rows[i][j] == expected
 
 
+def _scalar_matrix(n, entry):
+    return ScalMat([[Coeff.rational(entry(i, j)) for j in range(n)] for i in range(n)])
+
+
 def test_embeddings():
     grh = gr_h2()
     a = entry_matrix(grh)
-    a1, a2 = embed1(a), embed2(a)
+    a1, a2 = a.on_legs((0,), 2), a.on_legs((1,), 2)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -97,6 +106,23 @@ def test_embeddings():
                     e2 = a2.rows[2 * i + j][2 * k + l]
                     assert e1 == (a.rows[i][k] if j == l else grh.zero())
                     assert e2 == (a.rows[j][l] if i == k else grh.zero())
+    # n = 3: distinct entries, so every pick is checked
+    m = _scalar_matrix(3, lambda i, j: 1 + 3 * i + j)
+    m1, m2 = m.on_legs((0,), 2), m.on_legs((1,), 2)
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        assert m1.rows[3 * i + j][3 * k + l] == (m.rows[i][k] if j == l else ZERO)
+        assert m2.rows[3 * i + j][3 * k + l] == (m.rows[j][l] if i == k else ZERO)
+    # an n^2 x n^2 matrix on each pair of legs of a triple tensor power
+    for n in (2, 3):
+        r = _scalar_matrix(n * n, lambda i, j: 1 + n * n * i + j)
+        for legs in ((0, 1), (0, 2), (1, 2)):
+            (other,) = {0, 1, 2} - set(legs)
+            placed = r.on_legs(legs, 3)
+            index = list(itertools.product(range(n), repeat=3))
+            for x, s in enumerate(index):
+                for y, t in enumerate(index):
+                    pick = r.rows[n * s[legs[0]] + s[legs[1]]][n * t[legs[0]] + t[legs[1]]]
+                    assert placed.rows[x][y] == (pick if s[other] == t[other] else ZERO)
     # entries of the embeddings are single odd generator words
     for row in a1.rows:
         for e in row:
@@ -108,14 +134,14 @@ def test_embeddings():
 def test_embed2_identity_diagonal_pattern():
     grh = gr_h2()
     ident = AlgMat.identity(grh, 2)
-    e2 = embed2(ident)
+    e2 = ident.on_legs((1,), 2)
     assert e2 == AlgMat.identity(grh, 4)
 
 
 def test_mat_mul_identity():
     grh = gr_h2()
     a = entry_matrix(grh)
-    assert AlgMat.identity(grh, 2).mat_mul(a) == a
+    assert AlgMat.identity(grh, 2) * a == a
 
 
 def test_mat_mul_scalar_matrices_agree_with_scalmat():
@@ -124,7 +150,7 @@ def test_mat_mul_scalar_matrices_agree_with_scalmat():
     s2 = ScalMat([[ONE, F], [H, Q]])
     a1 = AlgMat(grh, [[grh.scalar(c) for c in row] for row in s1.rows])
     a2 = AlgMat(grh, [[grh.scalar(c) for c in row] for row in s2.rows])
-    prod = a1.mat_mul(a2)
+    prod = a1 * a2
     expected = s1 * s2
     for i in range(2):
         for j in range(2):
@@ -159,7 +185,7 @@ def test_qybe_rq_nonzero_rh_zero():
 
 
 def test_contracted_r_matrix_is_rh():
-    gg = g_matrix().kron(g_matrix())
+    gg = g_tensor_g()
     rhq = similarity(gg, rq_matrix())
     half = Coeff.rational(1) / Coeff.rational(2)
     assert rhq.limit_q1().scale(half) == rh_matrix()
@@ -168,3 +194,29 @@ def test_contracted_r_matrix_is_rh():
 def test_limit_commutes_with_identity_similarity():
     r = rq_matrix()
     assert similarity(ScalMat.identity(4), r).limit_q1() == r.limit_q1()
+
+
+def frt_r_matrix(n, sign=1):
+    """q on E_ii (x) E_ii, 1 on E_ii (x) E_jj (i != j) and sign * (q - q^-1)
+    on E_ij (x) E_ji (i > j)."""
+    rows = [[ZERO] * (n * n) for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            rows[n * i + j][n * i + j] = Q if i == j else ONE
+            if i > j:
+                rows[n * i + j][n * j + i] = (Q - Q.try_inv()) * sign
+    return ScalMat(rows)
+
+
+def test_qybe_of_the_frt_r_matrix_for_n3():
+    assert qybe_residual(frt_r_matrix(3)).is_zero()
+    assert not qybe_residual(frt_r_matrix(3, sign=-1)).is_zero()
+
+
+def test_on_legs_rejects_a_size_that_is_not_a_power():
+    with pytest.raises(ValueError):
+        _scalar_matrix(3, lambda i, j: 1).on_legs((0, 1), 3)
+    with pytest.raises(ValueError):
+        qybe_residual(ScalMat.identity(8))
+    with pytest.raises(ValueError):
+        ScalMat.identity(4).on_legs((0, 2), 2)
