@@ -392,11 +392,12 @@ def _int_quotient(num, divisor):
     """num / divisor for int term dicts when every quotient coefficient is an int.
 
     Returns None when the division is not exact or needs a non-integer
-    quotient coefficient.
+    quotient coefficient, and ``num`` itself when the divisor is 1.
     """
-    da, db = dm = max(divisor, key=_grlex)
-    dc = divisor[dm]
     if len(divisor) == 1:  # a monomial: shift and divide each term
+        ((da, db), dc), = divisor.items()
+        if da == db == 0 and dc == 1:
+            return num
         quo = {}
         for (a, b), c in num.items():
             if a < da or b < db:
@@ -406,6 +407,8 @@ def _int_quotient(num, divisor):
                 return None
             quo[(a - da, b - db)] = qc
         return quo
+    da, db = dm = max(divisor, key=_grlex)
+    dc = divisor[dm]
     rem = dict(num)
     quo = {}
     while rem:

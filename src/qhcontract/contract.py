@@ -25,29 +25,31 @@ and the script ``contract`` command only render its :class:`Contraction`.
 :func:`extend` is the homomorphic extension of any generator map, also of
 one with images of higher degree.
 
-All linear algebra here is fraction-free over Q[q,h].  Ranks and the
-union of :func:`span_equal` go through the one Bareiss routine,
-:func:`~qhcontract.rewrite._bareiss`, which also orients relations and
-inverts a :class:`Substitution`'s matrix; :func:`limit_span` takes its
-step, :func:`~qhcontract.rewrite._reduce`, row by row, on values at
-q = 1 with an identity block carried along.  Rows of localized scalars
-are lifted to polynomial rows by clearing their unit denominators and
-then made primitive (common q, h, (q-1) and rational factors stripped),
-which does not change any span; the lifted rows then have integer
-coefficients, which the scalar layer stores as plain ``int``.  A
-:class:`RelationSpan` ranks its rows at most once and keeps the result,
-so a contraction ranks only its target.
+All linear algebra here is fraction-free over Q[q,h].  Ranks go through
+the one Bareiss routine, :func:`~qhcontract.rewrite._bareiss`, which also
+orients relations and decides whether a :class:`Substitution`'s matrix is
+invertible.  A :class:`RelationSpan` ranks its rows at most once and
+keeps the rank with the column order and echelon rows of that
+elimination; :func:`span_equal` reduces the other span's rows against
+them.  :func:`limit_span` and :func:`span_equal` reduce a row against
+echelon rows with :func:`~qhcontract.rewrite._reduce_row`, which skips the
+Bareiss steps that would only rescale it.  So a contraction eliminates
+twice: the substitution's matrix and the target's rows.  Rows of
+localized scalars are lifted to polynomial rows by clearing their unit
+denominators and then made primitive (common q, h, (q-1) and rational
+factors stripped), which does not change any span; the lifted rows then
+have integer coefficients, which the scalar layer stores as plain
+``int``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit, QHPoly
-from .matalg import NotInvertible, ScalMat
-from .rewrite import _bareiss, _clear_row, _reduce
+from .coeffring import Coeff, NotAUnit, QHPoly, _wrap
+from .matalg import ScalMat
+from .rewrite import _bareiss, _clear_row, _reduce_row
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -90,9 +92,9 @@ class Substitution:
         if len(self.images) != n or len(target.generators) != n:
             raise BadSubstitution("invertibility requires a total map between "
                                   "algebras of equal rank")
-        try:
-            self.matrix().inverse()
-        except NotInvertible:
+        # the last pivot of the lifted rows is the determinant times a unit
+        rank, m = _bareiss([_clear_row(row) for row in self.matrix().rows], n)
+        if rank < n or (m and not Coeff(m[-1][-1]).is_unit()):
             raise BadSubstitution("substitution is not invertible over the scalars")
 
     @classmethod
@@ -133,8 +135,11 @@ def extend(e: Element, target: AlgebraSpec, images) -> Element:
 class RelationSpan:
     """Rows of degree-2 relation coefficients over a fixed word basis.
 
-    The rows are fixed at construction, so the rank is computed at most
-    once and kept.
+    The rows are fixed at construction, so they are lifted to primitive
+    polynomial rows and ranked at most once.  The one elimination that
+    ranks them, :meth:`rank`'s or :func:`_leading_minor`'s, also leaves
+    its column order and echelon rows here, against which
+    :func:`span_equal` reduces the rows of another span.
     """
 
     def __init__(self, algebra: AlgebraSpec, basis, rows):
@@ -146,11 +151,29 @@ class RelationSpan:
                 raise ValueError("row length does not match basis")
         self._rank = None
         self._lifted = None
+        self._echelon = None
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = _bareiss(self._primitive_rows(), len(self.basis))[0]
+            self._echelon_rows()
         return self._rank
+
+    def _echelon_rows(self):
+        """``(column order, [(pivot column, row), ...])`` of the kept
+        elimination, the columns and rows taken in that order; the primitive
+        rows are eliminated in basis order when nothing is kept yet."""
+        if self._echelon is None:
+            n = len(self.basis)
+            self._keep(range(n), *_bareiss(self._primitive_rows(), n))
+        return self._echelon
+
+    def _keep(self, order, rank, m):
+        """Keep the rank and echelon of :func:`_bareiss`'s ``(rank, m)`` on
+        the rows with their columns in ``order``."""
+        self._rank = rank
+        # a pivot row is zero left of its pivot
+        self._echelon = (list(order), [(next(j for j, x in enumerate(row) if x), row)
+                                       for row in m[:rank]])
 
     def _primitive_rows(self):
         """The nonzero rows lifted to Q[q,h] and made primitive, computed once.
@@ -194,13 +217,24 @@ def relation_span(relations, algebra: AlgebraSpec) -> RelationSpan:
 
 
 def span_equal(a: RelationSpan, b: RelationSpan) -> bool:
-    """True iff both spans have equal rank which the union also has."""
+    """True iff both spans have equal rank and every row of ``a`` lies in
+    the span of ``b``.
+
+    Each primitive row of ``a`` is reduced against the echelon rows that
+    ``b`` kept from the elimination that ranked it; a row of ``a`` is in
+    ``b``'s span exactly when it reduces to zero.
+    """
     if a.basis_names() != b.basis_names():
         raise ValueError("spans use different bases")
-    ra = a.rank()
-    if ra != b.rank():
+    if a.rank() != b.rank():
         return False
-    return _bareiss(a._primitive_rows() + b._primitive_rows(), len(a.basis))[0] == ra
+    order, echelon = b._echelon_rows()
+    for row in a._primitive_rows():
+        row = [row[j] for j in order]
+        _reduce_row(row, echelon)
+        if any(row):
+            return False
+    return True
 
 
 def limit_span(sp: RelationSpan) -> RelationSpan:
@@ -208,12 +242,13 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
 
     One pass over the primitive rows, last to first.  Each row's value at
     q = 1 is reduced by fraction-free steps against the echelon rows of
-    the values accepted so far, and an identity block records the reduced
-    value as a combination of the rows.  A row whose value stays nonzero
-    is accepted as it is.  Otherwise the combination, taken of the rows
-    themselves, has the row first and vanishes at q = 1: zero means the
-    row is dependent and is dropped, anything else, made primitive, takes
-    the row's place and is reduced again.
+    the values accepted so far (:func:`~qhcontract.rewrite._reduce_row`,
+    which skips the steps that only rescale), and an identity block
+    records the reduced value as a combination of the rows.  A row whose
+    value stays nonzero is accepted as it is.  Otherwise the combination,
+    taken of the rows themselves, has the row first and vanishes at
+    q = 1: zero means the row is dependent and is dropped, anything else,
+    made primitive, takes the row's place and is reduced again.
 
     While the row is independent of the accepted rows, each replacement
     lowers the (q-1)-valuation of their wedge with it, and the value is
@@ -222,7 +257,8 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
     rows and of the row as it came, so a row still not accepted after that
     many replacements is dependent and is dropped: a dependence with a
     coefficient like 1/(q+1) never gives a zero combination.  The accepted
-    rows number the rank of ``sp`` over Q(q,h), which ``sp`` keeps.
+    rows number the rank of ``sp`` over Q(q,h), which ``sp`` keeps; the
+    span returned keeps it too, with its primitive rows.
     """
     rows = list(sp._primitive_rows())
     n, ncols = len(rows), len(sp.basis)
@@ -235,10 +271,7 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
         for _ in range(_qdeg(rows[i]) + kept_qdeg + 1):
             value = [p.at_q1() for p in rows[i]]
             v = value + [one if j == i else zero for j in range(n)]
-            prev = one
-            for col, top in echelon:
-                _reduce(v, top, col, prev)
-                prev = top[col]
+            _reduce_row(v, echelon)
             col = next((j for j in range(ncols) if v[j]), None)
             if col is not None:
                 echelon.append((col, v))
@@ -253,10 +286,12 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
                 break
             rows[i] = _primitive(combo)
     sp._rank = len(kept)
-    out = RelationSpan(sp.algebra, sp.basis,
-                       [[Coeff(p) for p in _primitive(value)] for value in reversed(kept)])
-    # the kept values are independent: their reductions are the echelon rows
+    lifted = [_primitive(value) for value in reversed(kept)]
+    out = RelationSpan(sp.algebra, sp.basis, [[Coeff(p) for p in row] for row in lifted])
+    # the kept values are independent: their reductions are the echelon rows;
+    # the rows are q-free and primitive, so they are their own lift
     out._rank = len(kept)
+    out._lifted = lifted
     return out
 
 
@@ -294,11 +329,12 @@ def contract_relations(sub: Substitution) -> Contraction:
 def _leading_minor(sp: RelationSpan) -> QHPoly:
     """The last Bareiss pivot of ``sp``'s rows, lifted but not made
     primitive, on the words largest first as in
-    :func:`~qhcontract.rewrite.orient`; ``sp`` keeps the rank."""
+    :func:`~qhcontract.rewrite.orient`; ``sp`` keeps the rank and the
+    echelon."""
     order = sorted(range(len(sp.basis)), key=lambda j: sp.algebra.word_key(sp.basis[j]),
                    reverse=True)
     rank, m = _bareiss([_clear_row([row[j] for j in order]) for row in sp.rows], len(order))
-    sp._rank = rank
+    sp._keep(order, rank, m)
     return next(x for x in m[rank - 1] if x) if rank else QHPoly.one()
 
 
@@ -312,30 +348,38 @@ def _primitive(row):
 
     All stripped factors are units of the ambient fraction field, so the row
     span is unchanged; only the (q-1) part matters for the evaluation at
-    q = 1, the rest keeps the output canonical.
+    q = 1, the rest keeps the output canonical.  The output has integer
+    coefficients with content 1.
     """
-    nz = [p for p in row if not p.is_zero()]
+    nz = [p for p in row if p]
     if not nz:
         return list(row)
     s = min(p.q_valuation() for p in nz)
-    if s:
-        row = [p.divide_q(s) if not p.is_zero() else p for p in row]
     sh = min(p.h_valuation() for p in nz)
-    if sh:
-        row = [p.divide_h(sh) if not p.is_zero() else p for p in row]
-    # strip the common power of (q-1): divide every entry while all divide
-    while None not in (quo := [p.div_q1() for p in row]):
-        row = quo
     num, den = 0, 1
-    for p in row:
+    for p in nz:
         num = gcd(num, *p.terms.values())
         den = lcm(den, p.den)
-    if num and (num, den) != (1, 1):
-        row = [p.scaled(Fraction(den, num)) for p in row]
-    for p in row:
-        if not p.is_zero():
-            if p.leading()[1] < 0:
-                row = [-x for x in row]
-            break
+    # dividing by q, h or (q-1) keeps the content (Gauss's lemma) and the
+    # sign of a leading coefficient, so one pass strips q, h and the content
+    # and fixes the sign; the content divides every numerator, so each entry
+    # has integer coefficients over den 1
+    if nz[0].leading()[1] < 0:
+        num = -num
+    if (s, sh, num, den) != (0, 0, 1, 1):
+        row = [_wrap({(a - s, b - sh): c // num * (den // p.den) for (a, b), c in p.terms.items()})
+               if p else p for p in row]
+    while (quo := _div_q1_row(row)) is not None:
+        row = quo
     return list(row)
 
+
+def _div_q1_row(row):
+    """Every entry of ``row`` divided by (q-1), or None at the first entry
+    that (q-1) does not divide."""
+    out = []
+    for p in row:
+        if p and (p := p.div_q1()) is None:
+            return None
+        out.append(p)
+    return out

@@ -3,7 +3,9 @@
 Orientation reads the rules off the relations' reduced row echelon form
 over the degree-2 words, largest word first, from :func:`_bareiss`, the
 package's one fraction-free elimination, at the end of this module; the
-subspace limit takes its row step, :func:`_reduce`, on its own.  Each
+subspace limit and the span comparison reduce single rows against kept
+echelon rows with :func:`_reduce_row`, which takes its row step,
+:func:`_reduce`, only where the row's pivot-column entry is nonzero.  Each
 pivot word becomes a rule left-hand side; the relations' minor on these
 words must be a unit.  Every rhs word is smaller than its lhs, so
 reduction terminates.  Cross-family swap rules u*v -> sign * v*u are added
@@ -318,6 +320,28 @@ def _reduce(row, top, col, prev):
     elif p != prev:
         row[:] = [(x * p).exact_div(prev) if x else x for x in row]
     # else each entry x becomes x * p / prev = x
+
+
+def _reduce_row(row, echelon):
+    """Reduce ``row`` in place against ``echelon``, a list of ``(col, top)``
+    Bareiss pivot rows in elimination order, to what a :func:`_reduce` step
+    per pivot row gives.
+
+    A step whose entry in ``col`` is zero only scales the row by p / prev,
+    so it is skipped: the row is kept as z with the full-step row equal to
+    z * prev / base, where ``base`` is the pivot of the last step applied.
+    A step on a nonzero entry c of z gives (p z - c y) / base, which is
+    the full-step row itself, so that division is exact.  One scaling by
+    last pivot / base at the end restores the full-step row.
+    """
+    base = prev = QHPoly.one()
+    for col, top in echelon:
+        prev = top[col]
+        if row[col]:
+            _reduce(row, top, col, base)
+            base = prev
+    if prev != base:
+        row[:] = [(x * prev).exact_div(base) if x else x for x in row]
 
 
 def _back_substitute(m, pivots):

@@ -279,6 +279,20 @@ def test_contract_bad_substitution_is_an_error(images, message):
     assert [(v.status, v.witness) for v in verdicts] == [("error", message)]
 
 
+def test_non_unit_determinant_is_refused(tmp_path, capsys):
+    # det = h is nonzero but not a unit: the map has full rank over Q(h) and
+    # still has no inverse over the scalars
+    script = tmp_path / "h_scaled.qh"
+    script.write_text("contract qplane hplane\n  subst x' = h*x\n  subst y' = y\nend\n",
+                      encoding="utf-8")
+    assert main(["run", str(script)]) == 2
+    assert capsys.readouterr().out == (
+        "[ERR ] contract qplane hplane\n"
+        "       witness: substitution is not invertible over the scalars\n"
+        "0 verified, 0 falsified, 1 errors\n"
+    )
+
+
 def test_empty_script():
     verdicts, _ = run_script("")
     assert verdicts == [] and exit_code(verdicts) == 0

@@ -1,11 +1,17 @@
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
-from qhcontract.coeffring import Coeff
+from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.contract import (
+    BadSubstitution,
     DegreeError,
     MissingImage,
     RelationSpan,
     Substitution,
+    _primitive,
     contract_relations,
     limit_span,
     relation_span,
@@ -97,6 +103,16 @@ def test_substitution_invertibility_is_validated():
     degenerate = {g.gid: a for g in grq.generators}
     with pytest.raises(ValueError):
         Substitution(grq, grh, degenerate)
+
+
+def test_substitution_with_a_non_unit_determinant_is_refused():
+    # x' -> h*x has full rank, but its determinant h is not a unit
+    qp, hp = q_plane(), h_plane()
+    x, y = hp.gen_elements("x y")
+    with pytest.raises(BadSubstitution, match="^substitution is not invertible over the scalars$"):
+        Substitution.by_name(qp, hp, {"x'": H * x, "y'": y})
+    # a unit determinant, q*(q-1), passes
+    Substitution.by_name(qp, hp, {"x'": Q * x, "y'": (Q - Coeff.one()) * y})
 
 
 def test_relation_span_ranks():
@@ -221,10 +237,11 @@ def test_kept_ranks_match_fresh_spans():
         assert RelationSpan(lim.algebra, lim.basis, lim.rows).rank() == rank
 
 
-def test_a_contraction_takes_three_eliminations_and_none_over_q(monkeypatch):
-    # the substitution's inverse, the target's rank and span_equal's union;
-    # limit_span eliminates nothing through _bareiss and hands the substituted
-    # span its rank
+def test_a_contraction_takes_two_eliminations_and_none_over_q(monkeypatch):
+    # the substitution's invertibility check and the target's rank and
+    # leading minor; limit_span eliminates nothing through _bareiss and
+    # hands the substituted span its rank, and span_equal reduces the limit
+    # rows against the target's kept echelon
     import qhcontract.contract as contract
     import qhcontract.matalg as matalg
     import qhcontract.rewrite as rewrite
@@ -240,8 +257,57 @@ def test_a_contraction_takes_three_eliminations_and_none_over_q(monkeypatch):
     for module in (contract, matalg, rewrite):
         monkeypatch.setattr(module, "_bareiss", counted(module._bareiss))
     s = q_to_h_substitution(gr_q2(), gr_h2())
-    assert len(calls) == 1  # the inverse, whose lifted rows carry (q-1)
+    assert len(calls) == 1  # the invertibility check, whose lifted rows carry (q-1)
     c = contract_relations(s)
     assert c.ok and c.substituted.rank() == 10
-    assert len(calls) <= 3
-    assert all(a == 0 for rows in calls[1:] for row in rows for p in row for a, _b in p.terms)
+    assert len(calls) == 2
+    assert all(a == 0 for row in calls[1] for p in row for a, _b in p.terms)
+
+
+def test_primitive_rows_are_canonical_unit_multiples():
+    # seeded rows with rational coefficients, zero entries, common q, h and
+    # (q-1) factors, and all-zero rows
+    rng = random.Random(20261020)
+    q1 = QHPoly.q_minus_1()
+    nonzero = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 5)
+        if rng.random() < 0.1:
+            row = [QHPoly.zero()] * ncols
+            assert _primitive(row) == row
+            continue
+        common = QHPoly({(rng.randint(0, 2), rng.randint(0, 2)):
+                         Fraction(rng.choice([-6, -2, -1, 1, 3, 4]), rng.choice([1, 2, 5]))})
+        for _ in range(rng.randint(0, 2)):
+            common = common * q1
+        row = []
+        for _ in range(ncols):
+            if rng.random() < 0.3:
+                row.append(QHPoly.zero())
+                continue
+            terms = {(rng.randint(0, 2), rng.randint(0, 2)):
+                     Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 3))}
+            p = QHPoly(terms)
+            if rng.random() < 0.3:
+                p = p * q1
+            row.append(p * common)
+        out = _primitive(row)
+        nz = [p for p in out if p]
+        assert [bool(p) for p in out] == [bool(p) for p in row]
+        if not nz:
+            continue
+        nonzero += 1
+        # a multiple of the input row by a nonzero scalar
+        for i in range(ncols):
+            for j in range(i + 1, ncols):
+                assert out[i] * row[j] == out[j] * row[i]
+        # integer coefficients with content 1
+        assert all(p.den == 1 for p in out)
+        assert gcd(*(c for p in nz for c in p.terms.values())) == 1
+        # no common q, h or (q-1) factor
+        assert min(p.q_valuation() for p in nz) == 0
+        assert min(p.h_valuation() for p in nz) == 0
+        assert any(p.div_q1() is None for p in nz)
+        assert nz[0].leading()[1] > 0
+    assert nonzero >= 200

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from qhcontract.coeffring import Coeff
-from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, confluent_rules,
-                                orient)
+from qhcontract.coeffring import Coeff, QHPoly
+from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, _bareiss,
+                                _reduce, _reduce_row, confluent_rules, orient)
 from qhcontract.superalgebra import AlgebraSpec
 from qhcontract.contract import relation_span
 from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
@@ -323,3 +323,55 @@ def test_certificate_is_lazy(monkeypatch):
     rs.unresolved_overlaps()
     rs.unresolved_overlaps()
     assert calls == [rs]
+
+
+def _random_entry(rng, with_q):
+    """Zero in about a third of the draws, else a polynomial of up to three
+    terms in h, or in q and h, often not a monomial."""
+    if rng.random() < 0.35:
+        return QHPoly.zero()
+    if rng.random() < 0.2:
+        return rng.choice([QHPoly({(0, 1): 1, (0, 0): 1}),              # h + 1
+                           QHPoly({(0, 2): 2, (0, 0): -1})])            # 2*h^2 - 1
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, 1) if with_q else 0
+        terms[(a, rng.randint(0, 2))] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return QHPoly(terms)
+
+
+def test_reduce_row_equals_every_step():
+    # skipping the zero-entry steps and scaling once at the end must give,
+    # entry for entry, the row that one _reduce step per pivot row gives,
+    # also for rows in the span (which reduce to zero)
+    rng = random.Random(20261019)
+    one = QHPoly.one()
+    rescaled = 0
+    for case in range(500):
+        with_q = case % 2 == 1
+        ncols = rng.randint(2, 5)
+        rows = [[_random_entry(rng, with_q) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 4))]
+        rank, m = _bareiss(rows, ncols)
+        echelon = [(next(j for j, x in enumerate(r) if x), r) for r in m[:rank]]
+        if rng.random() < 0.25:
+            row = [QHPoly.zero()] * ncols
+            for r in rows:
+                t = _random_entry(rng, with_q)
+                row = [a + t * b for a, b in zip(row, r)]
+        else:
+            row = [_random_entry(rng, with_q) for _ in range(ncols)]
+        want = list(row)
+        prev = applied = one
+        for col, top in echelon:
+            if want[col]:
+                applied = top[col]
+            _reduce(want, top, col, prev)
+            prev = top[col]
+        got = list(row)
+        _reduce_row(got, echelon)
+        assert got == want, (rows, row)
+        # the full-step row ends scaled past the last step taken on a
+        # nonzero entry: only the final scaling gives it
+        rescaled += prev != applied and any(want)
+    assert rescaled >= 40
