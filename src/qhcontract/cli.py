@@ -11,11 +11,12 @@ reported as ``error: ...`` on stderr and also exits 2 (an unexpected
 exception is a bug in the checker and prints its traceback first), so exit
 1 always means a falsified claim.  Every command reduces with the rule
 system that :func:`~qhcontract.rewrite.orient` keeps for its algebra.
-``nf`` evaluates its expression in the quotient algebra, reducing each
-product as it is formed, and only on a rule system whose confluence is
-certified (:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal
-form would depend on the rewrite order, so it is an error that names the
-first unresolved overlap.  ``rtt`` reads its residual with
+``nf`` evaluates its expression in the quotient algebra, forming each
+product with :meth:`~qhcontract.rewrite.RuleSystem.multiply`, and only on
+a rule system whose confluence is certified
+(:func:`~qhcontract.rewrite.confluent_rules`); elsewhere a normal form
+would depend on the rewrite order, so it is an error that names the first
+unresolved overlap.  ``rtt`` reads its residual with
 :func:`~qhcontract.suite.residual_verdict`, as the battery does, so a
 residual that does not reduce to zero is the same error there.
 ``covariance``, ``inverse-check`` and ``product-check`` report the part

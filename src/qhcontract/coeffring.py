@@ -190,13 +190,7 @@ class QHPoly:
             return _mul_term(self, other)
         if len(x) == 1:
             return _mul_term(other, self)
-        out = {}
-        get = out.get
-        for (a1, b1), c1 in x.items():
-            for (a2, b2), c2 in y.items():
-                m = (a1 + a2, b1 + b2)
-                out[m] = get(m, 0) + c1 * c2
-        return _reduced(out, self.den * other.den)
+        return _reduced(_convolve(x, y), self.den * other.den)
 
     def scaled(self, r) -> "QHPoly":
         r = _rat(r)
@@ -250,9 +244,16 @@ class QHPoly:
         return _wrap({(a + s, b): c for (a, b), c in self.terms.items()}, self.den)
 
     def mul_q1pow(self, s: int) -> "QHPoly":
+        """The product with (q-1)^s, which is primitive: by Gauss's lemma
+        the product's content is this polynomial's, so ``den`` stays prime
+        to it and no gcd is taken.  Terms can still cancel, as in
+        (q+1)(q-1), and are dropped."""
         if s == 0:
             return self
-        return self * _q1_power(s)
+        out = _convolve(self.terms, _q1_power(s).terms)
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return _wrap(out, self.den)
 
     def at_q1(self) -> "QHPoly":
         """Substitute q = 1; the result only involves h."""
@@ -361,6 +362,17 @@ def _reduced(terms, den) -> QHPoly:
             terms = {m: c // g for m, c in terms.items()}
             den //= g
     return _wrap(terms, den)
+
+
+def _convolve(x, y) -> dict:
+    """The int term dict of the product of two int term dicts, zero sums kept."""
+    out = {}
+    get = out.get
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            m = (a1 + a2, b1 + b2)
+            out[m] = get(m, 0) + c1 * c2
+    return out
 
 
 def _mul_term(p: QHPoly, t: QHPoly) -> QHPoly:

@@ -18,18 +18,26 @@ appears, so no step rescans the terms.  The strategy and every normal form
 are those of rescanning all terms before each step, also on systems that
 are not confluent, where the strategy decides the result.
 
+Products of normal elements, on a certified confluent system, go through
+:meth:`RuleSystem.multiply`: a normal word times a letter has a redex only
+at the junction, and the normal form of each such product that is not
+already normal is a structure constant of the normal-word basis, computed
+once by :meth:`RuleSystem.normal_form` and kept in a table on the rule
+system.
+
 Confluence is decided once, on first use, by Bergman's diamond lemma:
 every rule is quadratic and the word order is degree-lexicographic, so the
 system is confluent in every degree exactly when each overlap ``abc``, with
 ``ab`` and ``bc`` both left-hand sides, reduces to one normal form from
 both redexes (:meth:`RuleSystem.unresolved_overlaps`).  Unresolved
-overlaps are returned as data; :func:`confluent_rules` is the one guard
-that raises :class:`NotConfluent` for callers whose answer needs unique
-normal forms.
+overlaps are returned as data; :meth:`RuleSystem.require_confluent` is the
+one guard that raises :class:`NotConfluent` for callers whose answer needs
+unique normal forms, through :func:`confluent_rules` or ``multiply``.
 
 The rule system belongs to its algebra: :func:`orient` builds it on the
 first call and keeps it on the :class:`AlgebraSpec`, whose relations are
-frozen from then on, so every caller reduces with the same rules.
+frozen from then on, so every caller reduces with the same rules, and the
+table of ``multiply`` lives as long as the algebra.
 """
 
 from __future__ import annotations
@@ -70,6 +78,9 @@ class RuleSystem:
         # min-heap of normal_form pops the largest word first
         self._down = [-g.prec for g in ambient.generators]
         self._overlaps = None
+        # (normal word u, letter g) -> the terms of normal_form(u*g), for
+        # u[-1]*g a lhs; filled by multiply
+        self._table = {}
 
     def _overlap_pairs(self):
         """Each overlap ``abc`` with ``rhs(ab)`` and ``rhs(bc)``, in
@@ -118,8 +129,78 @@ class RuleSystem:
             self._overlaps = out
         return self._overlaps
 
+    def require_confluent(self) -> None:
+        """:class:`NotConfluent`, naming the first unresolved overlap, unless
+        the system is certified confluent."""
+        overlaps = self.unresolved_overlaps()
+        if overlaps:
+            raise NotConfluent(f"not confluent: {overlap_summary(overlaps)}")
+
+    def _fill(self, u, g) -> dict:
+        """The terms of ``normal_form(u*g)``, kept in the table with those of
+        every longer suffix of ``u`` times g.
+
+        Each entry is the :meth:`normal_form` of an element equal to its
+        product in the quotient: the last letter times g, or the first
+        letter of a suffix times the kept entry of the suffix one letter
+        shorter.  The second needs few steps when that letter goes in
+        front of the entry's words without a rewrite, as it does in a
+        normal word; the first would move g through the whole word.
+        """
+        table, spec = self._table, self.ambient
+        i = next((i for i in range(1, len(u)) if (u[i:], g) in table), None)
+        if i is None:
+            i = len(u) - 1
+            table[u[i:], g] = self.normal_form(spec.word_element(u[i:] + (g,))).terms
+        for j in reversed(range(i)):
+            head = u[j : j + 1]
+            shorter = table[u[j + 1 :], g]
+            table[u[j:], g] = self.normal_form(
+                from_nonzero_terms(spec, {head + w: c for w, c in shorter.items()})).terms
+        return table[u, g]
+
     def degree2_normal_words(self):
         return [w for w in self.ambient.degree2_words() if w not in self.rules]
+
+    def multiply(self, a: Element, b: Element) -> Element:
+        """The normal form of ``a * b`` for normal ``a`` and ``b``, on a
+        certified confluent system; :class:`NotConfluent` on any other.
+
+        Each word v of ``b`` is appended to ``a`` one letter g at a time.
+        A normal word u times a normal word ``v[k:]`` has a redex only at
+        the junction, since every left-hand side has length 2: if
+        ``(u[-1], g)`` is no left-hand side, ``u*v[k:]`` is normal and
+        done; otherwise the normal form of ``u*g`` is read from a table
+        kept on the rule system, computed by :meth:`normal_form` on the
+        first miss, and each of its words goes on with the next letter.
+        Confluence makes the normal form linear and
+        ``nf(x * g) = nf(nf(x) * g)``, so the sum is the normal form of the
+        product, and each entry is a structure constant of the normal-word
+        basis that never goes stale.  The table holds at most one entry per
+        normal word and generator, up to the largest degree multiplied.
+        """
+        self.require_confluent()
+        if a.algebra is not self.ambient or b.algebra is not self.ambient:
+            raise ValueError("element belongs to a different algebra")
+        rules, table = self.rules, self._table
+        out = {}
+        for v, cv in b.terms.items():
+            cur = {u: c * cv for u, c in a.terms.items()}
+            for k, g in enumerate(v):
+                nxt = {}
+                for u, c in cur.items():
+                    if u and (u[-1], g) in rules:
+                        entry = table.get((u, g))
+                        if entry is None:
+                            entry = self._fill(u, g)
+                        for w, c2 in entry.items():
+                            _accumulate(nxt, w, c * c2)
+                    else:
+                        _accumulate(out, u + v[k:], c)
+                cur = nxt
+            for w, c in cur.items():
+                _accumulate(out, w, c)
+        return from_nonzero_terms(self.ambient, out)
 
     def normal_form(self, e: Element) -> Element:
         """Reduce until no word contains a rule lhs.
@@ -175,6 +256,20 @@ class RuleSystem:
                     else:
                         del terms[v]
         return from_nonzero_terms(self.ambient, terms)
+
+
+def _accumulate(terms, w, c) -> None:
+    """Add the nonzero ``c`` to the coefficient of ``w`` in ``terms``,
+    deleting the word when the sum cancels."""
+    old = terms.get(w)
+    if old is None:
+        terms[w] = c
+    else:
+        s = old + c
+        if s:
+            terms[w] = s
+        else:
+            del terms[w]
 
 
 def orient(spec: AlgebraSpec) -> RuleSystem:
@@ -251,9 +346,7 @@ def confluent_rules(spec: AlgebraSpec) -> RuleSystem:
     unresolved overlap: without confluence a normal form depends on the
     rewrite order, and a nonzero one proves nothing."""
     rs = orient(spec)
-    overlaps = rs.unresolved_overlaps()
-    if overlaps:
-        raise NotConfluent(f"not confluent: {overlap_summary(overlaps)}")
+    rs.require_confluent()
     return rs
 
 

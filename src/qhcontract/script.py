@@ -18,11 +18,12 @@ most ``MAX_LITERAL_DIGITS`` digits.
 
 An expression evaluates in the free algebra, or, given a confluent rule
 system, in its quotient: each product, that of ``*`` and every step of
-``^``, is reduced to normal form as soon as it is formed.  Atoms are
-normal, and sums, negations and scalar multiples of normal elements are
-normal, so the value is the normal form of the expression without its free
-expansion ever being built.  For the same reason a product with a factor
-that is only a scalar is not reduced again.
+``^``, is the normal form of the product of its normal factors, from
+:meth:`~qhcontract.rewrite.RuleSystem.multiply`, which reads the normal
+form of each word times a letter from the rule system's kept table.  Atoms
+are normal, and sums, negations and scalar multiples of normal elements
+are normal, so the value is the normal form of the expression without its
+free expansion ever being built.
 """
 
 from __future__ import annotations
@@ -77,17 +78,7 @@ class _ExprParser:
 
     def __init__(self, text: str, algebra: AlgebraSpec, line=None, rules=None):
         self.algebra = algebra
-        if rules is None:
-            self.mul = Element.free_mul
-        else:
-            normal_form = rules.normal_form
-
-            def mul(a, b):
-                product = a.free_mul(b)
-                # a scalar multiple of a normal element is normal
-                return product if _is_scalar(a) or _is_scalar(b) else normal_form(product)
-
-            self.mul = mul
+        self.mul = Element.free_mul if rules is None else rules.multiply
         self.line = line
         self.tokens = []
         pos = 0
@@ -227,14 +218,10 @@ class _ExprParser:
             self._error(f"{c} is not a unit of the scalar ring", col)
 
 
-def _is_scalar(e: Element) -> bool:
-    """True when every word of e is empty; words are stored largest first."""
-    return not any(e.terms)
-
-
 def _as_scalar(e: Element):
     """The Coeff value of a purely scalar element, else None."""
-    return e.coefficient(()) if _is_scalar(e) else None
+    # words are stored largest first, so any() reads only the first
+    return e.coefficient(()) if not any(e.terms) else None
 
 
 def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
@@ -242,10 +229,11 @@ def parse_expression(text: str, algebra: AlgebraSpec | None = None, line=None,
     """The value of ``text`` in ``algebra`` (the scalars when None).
 
     ``rules``, a :class:`~qhcontract.rewrite.RuleSystem` of ``algebra``,
-    makes every product a normal form as it is formed, so the value is the
+    makes every product a normal form as it is formed, with
+    :meth:`~qhcontract.rewrite.RuleSystem.multiply`, so the value is the
     normal form of the expression.  That is exact only on a confluent
-    system; the caller certifies it with
-    :meth:`~qhcontract.rewrite.RuleSystem.unresolved_overlaps`.
+    system, and ``multiply`` raises
+    :class:`~qhcontract.rewrite.NotConfluent` on any other.
     """
     return _ExprParser(text, algebra if algebra is not None else _SCALARS, line, rules).parse()
 

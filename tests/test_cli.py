@@ -16,6 +16,7 @@ from qhcontract.cli import (
 )
 from qhcontract.grgroup import gr_h2, gr_q2, h_plane
 from qhcontract.matalg import ScalMat
+from qhcontract.rewrite import RuleSystem
 from qhcontract.script import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from conftest import random_coeff, random_element
@@ -481,6 +482,21 @@ def test_each_run_is_one_script():
     verdicts = runner.run(parse_script(plane + 'nf P "x*y"\nnf GRh2 "beta*alpha"\n'))
     assert [v.status for v in verdicts] == ["verified", "verified"]
     assert runner.names["P"] is not first
+
+
+def test_a_repeated_nf_reads_every_product_from_the_table(monkeypatch):
+    calls = []
+    normal_form = RuleSystem.normal_form
+    monkeypatch.setattr(RuleSystem, "normal_form",
+                        lambda self, e: calls.append(e) or normal_form(self, e))
+    runner = Runner()
+    script = parse_script('nf hplane "(x + h*y)^7*(2*x - q*y)"\n'
+                          'nf GRh2 "(alpha + beta)*(q*gamma + h*delta)*(alpha - delta)"\n')
+    first = runner.run(script)
+    assert calls
+    calls.clear()
+    assert runner.run(script) == first
+    assert calls == []
 
 
 NF = ["nf", "--algebra", "{path}", "--expr", "x"]

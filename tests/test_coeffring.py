@@ -254,6 +254,28 @@ def _convolution(x, y):
     return QHPoly(out)
 
 
+def test_lift_by_powers_of_q_minus_1_matches_the_full_product():
+    # no gcd is taken, so every denominator must come out as the full
+    # product's; a factor (q+1) makes terms cancel, as in (q+1)(q-1)
+    rng = random.Random("lift")
+    q_minus_1, q_plus_1 = QHPoly({(1, 0): 1, (0, 0): -1}), QHPoly({(1, 0): 1, (0, 0): 1})
+    seen = set()
+    for _ in range(500):
+        p = _random_poly(rng)
+        if rng.random() < 0.4:
+            p = _convolution(p, q_plus_1)
+        s = rng.randint(0, 4)
+        want = p
+        for _ in range(s):
+            want = _convolution(want, q_minus_1)
+        got = p.mul_q1pow(s)
+        assert got == want, (p, s)
+        _assert_canonical_storage(got)
+        cancels = 0 in coeffring._convolve(p.terms, coeffring._q1_power(s).terms).values()
+        seen.add((p.den != 1, cancels))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_q_valuation_is_the_least_q_exponent():
     rng = random.Random("q-valuation")
     for _ in range(500):

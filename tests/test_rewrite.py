@@ -6,7 +6,7 @@ import pytest
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, _bareiss,
                                 _reduce, _reduce_row, confluent_rules, orient)
-from qhcontract.superalgebra import AlgebraSpec
+from qhcontract.superalgebra import AlgebraSpec, Element
 from qhcontract.contract import relation_span
 from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
 
@@ -15,6 +15,7 @@ from conftest import (
     demo_algebras,
     in_ideal_component,
     naive_fixpoint_reduce,
+    random_coeff,
     random_element,
     rescan_reduce,
 )
@@ -282,6 +283,53 @@ def _cyclic():
     for lhs, rhs in ((x * y, z * z), (y * z, x * x), (z * x, y * y)):
         spec.add_relation(lhs - rhs)
     return spec
+
+
+def _nf_algebras():
+    """Every builtin and every demo algebra on which ``nf`` runs: those
+    with a rule system certified confluent."""
+    found = {**builtin_algebras()}
+    for path in sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.qh")):
+        for name, spec in demo_algebras(path.stem).items():
+            found[f"{path.stem}:{name}"] = spec
+    accepted = {}
+    for label, spec in found.items():
+        try:
+            confluent_rules(spec)
+        except (OrientationFailure, NotConfluent):
+            continue
+        accepted[label] = spec
+    return accepted
+
+
+def _normal_words(rs, length):
+    """Every normal word of at most ``length`` letters, the empty word first."""
+    words, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (g,) for w in frontier for g in range(len(rs.ambient.generators))
+                    if not w or (w[-1], g) not in rs.rules]
+        words += frontier
+    return words
+
+
+def test_multiply_is_the_normal_form_of_the_free_product():
+    algebras = _nf_algebras()
+    assert len(algebras) >= 12  # the eight builtins and the confluent demo algebras
+    rng = random.Random("multiply")
+    scalars = [Q * Q - 1, Q - 1, Q**-1, (Q - 1) ** -2, H * Q]
+    for label, spec in algebras.items():
+        rs = orient(spec)
+        words = _normal_words(rs, 3)
+
+        def element():
+            picks = rng.sample(words, min(len(words), rng.randint(0, 4)))
+            return Element(spec, {w: random_coeff(rng) * rng.choice(scalars) for w in picks})
+
+        for _ in range(12):
+            a, b = element(), element()
+            got, want = rs.multiply(a, b), rs.normal_form(a.free_mul(b))
+            assert got == want, (label, str(a), str(b))
+            assert str(got) == str(want)
 
 
 # (system, brute-force degree bound, confluent, overlaps): degree 5

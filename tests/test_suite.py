@@ -13,7 +13,7 @@ from qhcontract.cli import Runner
 from qhcontract.script import parse_script
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.matalg import AlgMat
-from qhcontract.rewrite import NotConfluent
+from qhcontract.rewrite import NotConfluent, orient
 from qhcontract.superalgebra import AlgebraSpec, Element
 
 
@@ -124,6 +124,19 @@ def test_residual_verdict_certifies_confluence_before_it_falsifies():
     assert suite.residual_verdict("zero", AlgMat(spec, [[zero, zero], [zero, zero]])) == (
         suite.Verdict("zero", "verified")
     )
+
+
+def test_multiply_and_nf_refuse_a_system_that_is_not_confluent():
+    spec = _cyclic()
+    rs = orient(spec)
+    x, z = spec.gen_elements("x z")
+    with pytest.raises(NotConfluent, match=r"^not confluent: y\*z\*x -> x\^3 \| y\^3 \(\+3 more\)$"):
+        rs.multiply(z, x)
+    runner = Runner()
+    runner.builtin_algebras["cyc"] = spec
+    verdicts = runner.run(parse_script('nf cyc "z^3"'))
+    assert [(v.status, v.witness) for v in verdicts] == [
+        ("error", "not confluent: y*z*x -> x^3 | y^3 (+3 more)")]
 
 
 @pytest.mark.parametrize("command, reader, algebra", [
