@@ -375,6 +375,31 @@ def _convolve(x, y) -> dict:
     return out
 
 
+def _add_products(out, x, y, s) -> None:
+    """Add s times the product of the int term dicts x and y into ``out``,
+    zero sums kept."""
+    get = out.get
+    for (a1, b1), c1 in x.items():
+        c1 *= s
+        for (a2, b2), c2 in y.items():
+            m = (a1 + a2, b1 + b2)
+            out[m] = get(m, 0) + c1 * c2
+
+
+def _sum_of_products(pairs) -> QHPoly:
+    """The sum of a * b over the polynomial pairs ``(a, b)``.
+
+    The products are summed term by term in one int dict over their common
+    denominator, so neither a product nor a partial sum is built as a
+    polynomial; one ``_reduced`` makes the result canonical.
+    """
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out = {}
+    for a, b in pairs:
+        _add_products(out, a.terms, b.terms, den // (a.den * b.den))
+    return _reduced(out, den)
+
+
 def _mul_term(p: QHPoly, t: QHPoly) -> QHPoly:
     """p * t for a single-term t: p's terms shifted by t's monomial and scaled.
 

@@ -18,9 +18,10 @@ number the rank of the span over Q(q,h), which the span keeps.
 :func:`contract_relations` is the whole pipeline, and the only place that
 chains its steps: apply an invertible :class:`Substitution` to the source
 relations, take the :func:`limit_span` of their :func:`relation_span` and
-compare it with the target relations by :func:`span_equal`.  Equal spans
-over Q(h) are not enough over the ring: the target's relations must also
-have a unit minor on their leading words, or it is an error.  The suite
+compare it with the target relations by :func:`span_equal_over_ring`.
+Equal spans over Q(h) are not enough over the ring: the target's
+relations must also have a unit minor on their leading words, or it is an
+error, for a contraction as for criterion 4's covariance goal.  The suite
 and the script ``contract`` command only render its :class:`Contraction`.
 :func:`extend` is the homomorphic extension of any generator map, also of
 one with images of higher degree.
@@ -31,10 +32,13 @@ orients relations and decides whether a :class:`Substitution`'s matrix is
 invertible.  A :class:`RelationSpan` ranks its rows at most once and
 keeps the rank with the column order and echelon rows of that
 elimination; :func:`span_equal` reduces the other span's rows against
-them.  :func:`limit_span` and :func:`span_equal` reduce a row against
-echelon rows with :func:`~qhcontract.rewrite._reduce_row`, which skips the
-Bareiss steps that would only rescale it.  So a contraction eliminates
-twice: the substitution's matrix and the target's rows.  Rows of
+them.  :func:`limit_span` and :func:`span_equal` reduce a sparse row,
+``{column: nonzero entry}``, against echelon rows with
+:func:`~qhcontract.rewrite._reduce_row`, which skips the Bareiss steps
+that would only rescale it; the limit pass keeps a row's value and its
+identity entry in one such row and sums each replacement combination
+column by column in one term dict.  So a contraction eliminates twice:
+the substitution's matrix and the target's rows.  Rows of
 localized scalars are lifted to polynomial rows by clearing their unit
 denominators and then made primitive (common q, h, (q-1) and rational
 factors stripped), which does not change any span; the lifted rows then
@@ -47,7 +51,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit, QHPoly, _wrap
+from .coeffring import Coeff, NotAUnit, QHPoly, _sum_of_products, _wrap
 from .matalg import ScalMat
 from .rewrite import _bareiss, _clear_row, _reduce_row
 from .superalgebra import AlgebraSpec, Element
@@ -94,7 +98,7 @@ class Substitution:
                                   "algebras of equal rank")
         # the last pivot of the lifted rows is the determinant times a unit
         rank, m = _bareiss([_clear_row(row) for row in self.matrix().rows], n)
-        if rank < n or (m and not Coeff(m[-1][-1]).is_unit()):
+        if rank < n or (m and not Coeff(m[-1][n - 1]).is_unit()):
             raise BadSubstitution("substitution is not invertible over the scalars")
 
     @classmethod
@@ -171,9 +175,8 @@ class RelationSpan:
         """Keep the rank and echelon of :func:`_bareiss`'s ``(rank, m)`` on
         the rows with their columns in ``order``."""
         self._rank = rank
-        # a pivot row is zero left of its pivot
-        self._echelon = (list(order), [(next(j for j, x in enumerate(row) if x), row)
-                                       for row in m[:rank]])
+        # a pivot row has no key left of its pivot
+        self._echelon = (list(order), [(min(row), row) for row in m[:rank]])
 
     def _primitive_rows(self):
         """The nonzero rows lifted to Q[q,h] and made primitive, computed once.
@@ -230,9 +233,9 @@ def span_equal(a: RelationSpan, b: RelationSpan) -> bool:
         return False
     order, echelon = b._echelon_rows()
     for row in a._primitive_rows():
-        row = [row[j] for j in order]
+        row = {k: x for k, j in enumerate(order) if (x := row[j])}
         _reduce_row(row, echelon)
-        if any(row):
+        if row:
             return False
     return True
 
@@ -243,7 +246,8 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
     One pass over the primitive rows, last to first.  Each row's value at
     q = 1 is reduced by fraction-free steps against the echelon rows of
     the values accepted so far (:func:`~qhcontract.rewrite._reduce_row`,
-    which skips the steps that only rescale), and an identity block
+    which skips the steps that only rescale), and an identity block,
+    which starts as the one entry at ``ncols + i`` of the same sparse row,
     records the reduced value as a combination of the rows.  A row whose
     value stays nonzero is accepted as it is.  Otherwise the combination,
     taken of the rows themselves, has the row first and vanishes at
@@ -260,7 +264,8 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
     rows number the rank of ``sp`` over Q(q,h), which ``sp`` keeps; the
     span returned keeps it too, with its primitive rows.
     """
-    rows = list(sp._primitive_rows())
+    # the rows as sparse rows, {column: nonzero entry}
+    rows = [{j: p for j, p in enumerate(row) if p} for row in sp._primitive_rows()]
     n, ncols = len(rows), len(sp.basis)
     zero, one = QHPoly.zero(), QHPoly.one()
     echelon = []  # (pivot column, reduced value and identity block) per accepted row
@@ -268,23 +273,23 @@ def limit_span(sp: RelationSpan) -> RelationSpan:
     kept_qdeg = 0  # sum of the accepted rows' q-degrees
     for i in reversed(range(n)):
         # an independent row is accepted within this many attempts
-        for _ in range(_qdeg(rows[i]) + kept_qdeg + 1):
-            value = [p.at_q1() for p in rows[i]]
-            v = value + [one if j == i else zero for j in range(n)]
+        for _ in range(_qdeg(rows[i].values()) + kept_qdeg + 1):
+            value = {j: x for j, p in rows[i].items() if (x := p.at_q1())}
+            # one sparse row: the value, then the identity block at ncols + i
+            v = dict(value)
+            v[ncols + i] = one
             _reduce_row(v, echelon)
-            col = next((j for j in range(ncols) if v[j]), None)
-            if col is not None:
+            # the identity entry of row i stays nonzero, so v has a key
+            col = min(v)
+            if col < ncols:
                 echelon.append((col, v))
-                kept.append(value)
-                kept_qdeg += _qdeg(rows[i])
+                kept.append([value.get(j, zero) for j in range(ncols)])
+                kept_qdeg += _qdeg(rows[i].values())
                 break
-            combo = [zero] * ncols
-            for t, row in zip(v[ncols:], rows):
-                if t:
-                    combo = [acc + t * p if p else acc for acc, p in zip(combo, row)]
+            combo = _combination(v, rows, ncols)
             if not any(combo):
                 break
-            rows[i] = _primitive(combo)
+            rows[i] = {j: p for j, p in enumerate(_primitive(combo)) if p}
     sp._rank = len(kept)
     lifted = [_primitive(value) for value in reversed(kept)]
     out = RelationSpan(sp.algebra, sp.basis, [[Coeff(p) for p in row] for row in lifted])
@@ -309,18 +314,31 @@ def contract_relations(sub: Substitution) -> Contraction:
     compare it with the span of the target algebra's relations.
 
     Raises :class:`NotAUnit` when the spans agree but the target's minor on
-    its leading words is not a unit: h is not a unit, so the target may
-    span the limit over Q(h) only, as ``h * (x*y - y*x - h*y^2)`` does.
+    its leading words is not a unit (:func:`span_equal_over_ring`): h is not
+    a unit, so the target may span the limit over Q(h) only, as
+    ``h * (x*y - y*x - h*y^2)`` does.
     """
     substituted = relation_span(map(sub.apply, sub.source.relations), sub.target)
     limit = limit_span(substituted)
     target = relation_span(sub.target.relations, sub.target)
+    ok = span_equal_over_ring(limit, target, "the limit")
+    return Contraction(substituted, limit, target, ok)
+
+
+def span_equal_over_ring(a: RelationSpan, target: RelationSpan, what: str) -> bool:
+    """:func:`span_equal` of ``a`` and ``target``, or :class:`NotAUnit` when
+    the spans agree but the target's minor on its leading words is not a
+    unit, so that its relations span ``what`` over Q(h) only.
+
+    The target is eliminated once: the elimination that gives the minor
+    is the one that ``span_equal`` reduces against.
+    """
     minor = _leading_minor(target)
-    ok = span_equal(limit, target)
+    ok = span_equal(a, target)
     if ok and not Coeff(minor).is_unit():
         raise NotAUnit(f"minor {minor} of the target relations on their leading words "
-                       "is not a unit: they span the limit over Q(h) only")
-    return Contraction(substituted, limit, target, ok)
+                       f"is not a unit: they span {what} over Q(h) only")
+    return ok
 
 
 # -- fraction-free helpers ----------------------------------------------------
@@ -333,14 +351,29 @@ def _leading_minor(sp: RelationSpan) -> QHPoly:
     echelon."""
     order = sorted(range(len(sp.basis)), key=lambda j: sp.algebra.word_key(sp.basis[j]),
                    reverse=True)
-    rank, m = _bareiss([_clear_row([row[j] for j in order]) for row in sp.rows], len(order))
-    sp._keep(order, rank, m)
-    return next(x for x in m[rank - 1] if x) if rank else QHPoly.one()
+    sp._keep(order, *_bareiss([_clear_row([row[j] for j in order]) for row in sp.rows],
+                              len(order)))
+    if not sp._rank:
+        return QHPoly.one()
+    col, row = sp._echelon[1][-1]
+    return row[col]
 
 
-def _qdeg(row) -> int:
-    """Largest power of q in a row of polynomials."""
-    return max((a for p in row for a, _b in p.terms), default=0)
+def _combination(block, rows, ncols):
+    """The sum of t * ``rows[k - ncols]`` over the entries t at k of
+    ``block``, as a dense row: the products of each column are summed in
+    one term dict, and no product t * entry is built as a polynomial."""
+    pairs = {}
+    for k, t in block.items():
+        for j, p in rows[k - ncols].items():
+            pairs.setdefault(j, []).append((t, p))
+    zero = QHPoly.zero()
+    return [_sum_of_products(pairs[j]) if j in pairs else zero for j in range(ncols)]
+
+
+def _qdeg(entries) -> int:
+    """Largest power of q in the polynomials ``entries``."""
+    return max((a for p in entries for a, _b in p.terms), default=0)
 
 
 def _primitive(row):
@@ -354,12 +387,11 @@ def _primitive(row):
     nz = [p for p in row if p]
     if not nz:
         return list(row)
-    s = min(p.q_valuation() for p in nz)
-    sh = min(p.h_valuation() for p in nz)
-    num, den = 0, 1
-    for p in nz:
-        num = gcd(num, *p.terms.values())
-        den = lcm(den, p.den)
+    # the least monomial of a polynomial has its least q-degree
+    s = min(min(p.terms)[0] for p in nz)
+    sh = min(b for p in nz for _a, b in p.terms)
+    num = gcd(*(c for p in nz for c in p.terms.values()))
+    den = lcm(*(p.den for p in nz))
     # dividing by q, h or (q-1) keeps the content (Gauss's lemma) and the
     # sign of a leading coefficient, so one pass strips q, h and the content
     # and fixes the sign; the content divides every numerator, so each entry

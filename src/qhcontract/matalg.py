@@ -147,7 +147,9 @@ class ScalMat(Matrix):
             inv_det = Coeff(det).try_inv()
         except NotAUnit:
             raise NotInvertible("the determinant is not a unit") from None
-        return ScalMat([[Coeff(y) * inv_det for y in row[n:]] for row in out])
+        zero = Coeff.zero()
+        return ScalMat([[Coeff(row[j]) * inv_det if j in row else zero for j in range(n, 2 * n)]
+                        for row in out])
 
     def entries_str(self):
         """The nonzero entries as ``(i,j): value`` strings, row by row."""

@@ -5,11 +5,15 @@ over the degree-2 words, largest word first, from :func:`_bareiss`, the
 package's one fraction-free elimination, at the end of this module; the
 subspace limit and the span comparison reduce single rows against kept
 echelon rows with :func:`_reduce_row`, which takes its row step,
-:func:`_reduce`, only where the row's pivot-column entry is nonzero.  Each
-pivot word becomes a rule left-hand side; the relations' minor on these
-words must be a unit.  Every rhs word is smaller than its lhs, so
-reduction terminates.  Cross-family swap rules u*v -> sign * v*u are added
-for every pair of generators from distinct families with a declared sign.
+:func:`_reduce`, only where the row's pivot-column entry is nonzero.  The
+elimination keeps sparse rows, ``{column: nonzero entry}``, whose pivot is
+their smallest key, never their first in dict order; its one step visits
+only the columns that hold an entry and builds each new entry once, from
+both of its products summed in one term dict.  Each pivot word becomes a
+rule left-hand side; the relations' minor on these words must be a unit.
+Every rhs word is smaller than its lhs, so reduction terminates.
+Cross-family swap rules u*v -> sign * v*u are added for every pair of
+generators from distinct families with a declared sign.
 
 Normal forms rewrite the largest reducible word at its first redex until
 no word is reducible.  The reducible words wait in a heap ordered by
@@ -44,9 +48,10 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
+from math import lcm
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit, QHPoly
+from .coeffring import Coeff, NotAUnit, QHPoly, _add_products, _reduced
 from .superalgebra import AlgebraSpec, Element, from_nonzero_terms
 
 
@@ -310,7 +315,7 @@ def orient(spec: AlgebraSpec) -> RuleSystem:
     zero = Coeff.zero()
     rows = [_clear_row([r.terms.get(w, zero) for w in words]) for r in spec.relations]
     rank, m = _bareiss(rows, len(words))
-    pivots = [next(c for c, x in enumerate(row) if x) for row in m[:rank]]
+    pivots = [min(row) for row in m[:rank]]
     d, reduced = _back_substitute(m, pivots)
     try:
         inv = Coeff(d).try_inv()
@@ -321,7 +326,7 @@ def orient(spec: AlgebraSpec) -> RuleSystem:
     rules = {}
     for c, row in zip(pivots, reduced):
         lhs = words[c]
-        rules[lhs] = Element(spec, {w: Coeff(-x) * inv for w, x in zip(words, row) if x and w != lhs})
+        rules[lhs] = Element(spec, {words[j]: Coeff(-x) * inv for j, x in row.items() if j != c})
 
     for u in spec.generators:
         for v in spec.generators:
@@ -365,27 +370,48 @@ def _clear_row(row):
     return [c._lift(m, k) if c else c.num for c in row]
 
 
+class _Row(dict):
+    """A sparse row ``{column: nonzero QHPoly}`` of ``width`` columns.
+
+    A slice reads it densely, with the zero polynomial in each column that
+    has no key, as the same slice of the dense row would.
+    """
+
+    __slots__ = ("width",)
+
+    def __init__(self, row):
+        super().__init__((j, x) for j, x in enumerate(row) if x)
+        self.width = len(row)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            zero = QHPoly.zero()
+            return [self.get(j, zero) for j in range(*key.indices(self.width))]
+        return dict.__getitem__(self, key)
+
+
 def _bareiss(rows, ncols):
     """Bareiss elimination of Q[q,h] rows over the fraction field.
 
+    Takes dense rows and eliminates them as sparse :class:`_Row` rows.
     Pivots only in the first ``ncols`` columns and carries the rest along.
     In each column the first remaining row with a unit entry, else with a
     nonzero one, moves up to pivot; the others keep their order.  Returns
     ``(rank, echelon rows)``: the first ``rank`` rows are the pivot rows,
-    and the left block of every row below them is zero, so an identity
-    block carried on the right turns those rows into a basis of the left
-    kernel.  The k-th pivot is the minor of the first k pivot rows on the
-    pivot columns; for a square matrix the last is its determinant up to
-    sign.
+    each with its pivot at its smallest key, and no row below them has a
+    key left of ``ncols``, so an identity block carried on the right turns
+    those rows into a basis of the left kernel.  The k-th pivot is the
+    minor of the first k pivot rows on the pivot columns; for a square
+    matrix the last is its determinant up to sign.
     """
     nrows = len(rows)
-    if not nrows:
-        return 0, []
-    m = [list(row) for row in rows]
+    m = [_Row(row) for row in rows]
     rank = 0
     prev = QHPoly.one()
     for col in range(ncols):
-        nonzero = [r for r in range(rank, nrows) if m[r][col]]
+        if rank == nrows:
+            break
+        nonzero = [r for r in range(rank, nrows) if col in m[r]]
         if not nonzero:
             continue
         piv = next((r for r in nonzero if Coeff(m[r][col]).is_unit()), nonzero[0])
@@ -395,62 +421,91 @@ def _bareiss(rows, ncols):
             _reduce(row, top, col, prev)
         prev = top[col]
         rank += 1
-        if rank == nrows:
-            break
     return rank, m
 
 
 def _reduce(row, top, col, prev):
-    """One fraction-free step, in place: every entry x of ``row`` becomes
-    (x * p - c * y) / prev, with p = ``top[col]``, c = ``row[col]`` and y
-    the entry of the pivot row ``top`` in x's column.  The division is exact
-    when ``prev`` is the pivot of the step before, as in :func:`_bareiss`;
-    the entry in ``col`` becomes zero."""
-    p, c = top[col], row[col]
-    if c:
-        row[:] = [(x * p - c * y).exact_div(prev) if y else (x * p).exact_div(prev) if x else x
-                  for x, y in zip(row, top)]
-    elif p != prev:
-        row[:] = [(x * p).exact_div(prev) if x else x for x in row]
-    # else each entry x becomes x * p / prev = x
+    """One fraction-free step on sparse rows, in place: every entry x of
+    ``row`` becomes (x * p - c * y) / prev, with p = ``top[col]``, c the
+    entry of ``row`` in ``col`` and y the entry of the pivot row ``top`` in
+    x's column.  A missing entry is zero and contributes no product, so
+    only the columns of ``row``, and of ``top`` when c is nonzero, are
+    visited, and the entry in ``col`` becomes zero.
+
+    Both products of a column are summed in one int term dict over their
+    common denominator and made one polynomial, which is divided once; the
+    division is exact when ``prev`` is the pivot of the step before, as in
+    :func:`_bareiss`.
+    """
+    p = top[col]
+    c = row.pop(col, None)
+    if c is None:
+        if p == prev:
+            return  # each entry x becomes x * p / prev = x
+        cols, top = list(row), {}  # no entry takes a product c * y
+    else:
+        cols = row.keys() | top.keys()
+        cols.discard(col)
+        neg_c, cd = {m: -v for m, v in c.terms.items()}, c.den
+    pt, pd = p.terms, p.den
+    for j in cols:
+        x, y = row.get(j), top.get(j)
+        acc = {}
+        if y is None:
+            den = x.den * pd
+            _add_products(acc, x.terms, pt, 1)
+        elif x is None:
+            den = cd * y.den
+            _add_products(acc, neg_c, y.terms, 1)
+        else:
+            dx, dy = x.den * pd, cd * y.den
+            den = lcm(dx, dy)
+            _add_products(acc, x.terms, pt, den // dx)
+            _add_products(acc, neg_c, y.terms, den // dy)
+        if e := _reduced(acc, den).exact_div(prev):
+            row[j] = e
+        elif x is not None:
+            del row[j]
 
 
 def _reduce_row(row, echelon):
-    """Reduce ``row`` in place against ``echelon``, a list of ``(col, top)``
-    Bareiss pivot rows in elimination order, to what a :func:`_reduce` step
-    per pivot row gives.
+    """Reduce the sparse ``row`` in place against ``echelon``, a list of
+    ``(col, top)`` Bareiss pivot rows in elimination order, to what a
+    :func:`_reduce` step per pivot row gives.
 
-    A step whose entry in ``col`` is zero only scales the row by p / prev,
-    so it is skipped: the row is kept as z with the full-step row equal to
-    z * prev / base, where ``base`` is the pivot of the last step applied.
-    A step on a nonzero entry c of z gives (p z - c y) / base, which is
+    A step on a row without an entry in ``col`` only scales the row by
+    p / prev, so it is skipped: the row is kept as z with the full-step row
+    equal to z * prev / base, where ``base`` is the pivot of the last step
+    applied.  A step on an entry c of z gives (p z - c y) / base, which is
     the full-step row itself, so that division is exact.  One scaling by
     last pivot / base at the end restores the full-step row.
     """
     base = prev = QHPoly.one()
     for col, top in echelon:
         prev = top[col]
-        if row[col]:
+        if col in row:
             _reduce(row, top, col, base)
             base = prev
     if prev != base:
-        row[:] = [(x * prev).exact_div(base) if x else x for x in row]
+        row.update({j: (x * prev).exact_div(base) for j, x in row.items()})
 
 
 def _back_substitute(m, pivots):
     """``(d, d * R)``, with d the last pivot and R the reduced row echelon
-    form of the first rows of :func:`_bareiss`'s ``m``, one per pivot
-    column.  d R is the adjugate of their input rows' minor matrix times
-    those rows, so every division is exact."""
+    form of the first sparse rows of :func:`_bareiss`'s ``m``, one per
+    pivot column, as sparse rows.  d R is the adjugate of their input
+    rows' minor matrix times those rows, so every division is exact."""
     if not pivots:
         return QHPoly.one(), []
     d = m[len(pivots) - 1][pivots[-1]]
     out = [None] * len(pivots)
     for i in reversed(range(len(pivots))):
         row = m[i]
-        acc = [d * x if x else x for x in row]
+        acc = {j: d * x for j, x in row.items()}
         for j in range(i + 1, len(pivots)):
-            if t := row[pivots[j]]:
-                acc = [a - t * y if y else a for a, y in zip(acc, out[j])]
-        out[i] = [a.exact_div(row[pivots[i]]) if a else a for a in acc]
+            if (t := row.get(pivots[j])) is not None:
+                for k, y in out[j].items():
+                    acc[k] = acc[k] - t * y if k in acc else -(t * y)
+        piv = row[pivots[i]]
+        out[i] = {k: a.exact_div(piv) for k, a in acc.items() if a}
     return d, out

@@ -26,7 +26,7 @@ import random
 from typing import NamedTuple
 
 from .coeffring import Coeff, QHPoly
-from .contract import contract_relations, relation_span, span_equal
+from .contract import contract_relations, relation_span, span_equal_over_ring
 from .matalg import AlgMat, ScalMat, qybe_residual, rtt_residual, similarity
 from .rewrite import confluent_rules, orient
 from .superalgebra import AlgebraSpec, Element
@@ -78,11 +78,15 @@ def _fold(number: int, name: str, parts, note=None) -> Verdict:
 
 
 def covariance_verdict(grh: AlgebraSpec) -> Verdict:
-    """Both covariance directions together span exactly the relations of ``grh``."""
+    """Both covariance directions together span exactly the relations of
+    ``grh``, over the ring: :class:`~qhcontract.coeffring.NotAUnit` when the
+    spans agree but the relations' minor on their leading words is not a
+    unit, as for a contraction."""
     span = grgroup.combined_covariance_span(grh)
     goal = relation_span(grh.relations, grh)
+    ok = span_equal_over_ring(span, goal, "the covariance relations")
     detail = f"combined rank {span.rank()}, target rank {goal.rank()}"
-    if span_equal(span, goal):
+    if ok:
         return Verdict("covariance", "verified", details=(detail,))
     return Verdict("covariance", "falsified", witness=detail)
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -388,10 +389,21 @@ def _random_entry(rng, with_q):
     return QHPoly(terms)
 
 
+def _dense_step(row, top, col, prev):
+    """The fraction-free step by its definition, on dense rows: every entry
+    x becomes (x * p - c * y) / prev, with p = top[col] and c = row[col]."""
+    p, c = top[col], row[col]
+    return [(x * p - c * y).exact_div(prev) for x, y in zip(row, top)]
+
+
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def test_reduce_row_equals_every_step():
     # skipping the zero-entry steps and scaling once at the end must give,
-    # entry for entry, the row that one _reduce step per pivot row gives,
-    # also for rows in the span (which reduce to zero)
+    # entry for entry, the row that one dense step per pivot row gives,
+    # also for rows in the span (which reduce to an empty row)
     rng = random.Random(20261019)
     one = QHPoly.one()
     rescaled = 0
@@ -401,7 +413,7 @@ def test_reduce_row_equals_every_step():
         rows = [[_random_entry(rng, with_q) for _ in range(ncols)]
                 for _ in range(rng.randint(1, 4))]
         rank, m = _bareiss(rows, ncols)
-        echelon = [(next(j for j, x in enumerate(r) if x), r) for r in m[:rank]]
+        echelon = [(min(r), r) for r in m[:rank]]
         if rng.random() < 0.25:
             row = [QHPoly.zero()] * ncols
             for r in rows:
@@ -414,12 +426,65 @@ def test_reduce_row_equals_every_step():
         for col, top in echelon:
             if want[col]:
                 applied = top[col]
-            _reduce(want, top, col, prev)
+            want = _dense_step(want, top[:], col, prev)
             prev = top[col]
-        got = list(row)
+        got = _sparse(row)
         _reduce_row(got, echelon)
-        assert got == want, (rows, row)
+        assert got == _sparse(want), (rows, row)
         # the full-step row ends scaled past the last step taken on a
         # nonzero entry: only the final scaling gives it
         rescaled += prev != applied and any(want)
     assert rescaled >= 40
+
+
+def _rational_entry(rng):
+    """Zero in about a third of the draws, else a polynomial in q and h of
+    one to three terms with rational coefficients, so that its denominator
+    is often not 1."""
+    if rng.random() < 0.35:
+        return QHPoly.zero()
+    return QHPoly({(rng.randint(0, 1), rng.randint(0, 2)):
+                   Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+                   for _ in range(rng.randint(1, 3))})
+
+
+def test_fused_step_is_the_dense_definition():
+    # a fraction-free elimination written out densely; at every pivot each
+    # row below takes one _reduce step on its sparse copy, which must hold
+    # exactly the nonzero entries of (x * p - c * y).exact_div(prev)
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(("den", "multi_p", "multi_prev", "zero_x", "zero_y", "in_span"), 0)
+    for _ in range(300):
+        ncols = rng.randint(2, 5)
+        dense = [[_rational_entry(rng) for _ in range(ncols)] for _ in range(rng.randint(2, 4))]
+        if rng.random() < 0.4:
+            f, g = _rational_entry(rng), _rational_entry(rng)
+            dense.append([f * x + g * y for x, y in zip(dense[0], dense[1])])
+        sparse = [_sparse(row) for row in dense]
+        prev, rank = QHPoly.one(), 0
+        for col in range(ncols):
+            piv = next((r for r in range(rank, len(dense)) if dense[r][col]), None)
+            if piv is None:
+                continue
+            for rows in (dense, sparse):
+                rows.insert(rank, rows.pop(piv))
+            top = dense[rank]
+            for r in range(rank + 1, len(dense)):
+                row = dense[r]
+                dense[r] = _dense_step(row, top, col, prev)
+                _reduce(sparse[r], sparse[rank], col, prev)
+                assert sparse[r] == _sparse(dense[r])
+                if row[col]:
+                    seen["den"] += any(x.den != 1 and y.den != 1 and x.den != y.den
+                                       for x, y in zip(row, top))
+                    seen["zero_x"] += any(y and not x for x, y in zip(row, top))
+                    seen["zero_y"] += any(x and not y for x, y in zip(row, top))
+                seen["multi_p"] += len(top[col].terms) > 1
+                seen["multi_prev"] += len(prev.terms) > 1
+            prev = top[col]
+            rank += 1
+        # every column was eliminated, so each row below the rank is in the
+        # span of the pivot rows and was reduced to nothing
+        assert all(row == {} for row in sparse[rank:])
+        seen["in_span"] += len(sparse) - rank
+    assert min(seen.values()) >= 40, seen

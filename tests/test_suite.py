@@ -11,7 +11,7 @@ import pytest
 from qhcontract import grgroup, suite
 from qhcontract.cli import Runner
 from qhcontract.script import parse_script
-from qhcontract.coeffring import Coeff, QHPoly
+from qhcontract.coeffring import Coeff, NotAUnit, QHPoly
 from qhcontract.matalg import AlgMat
 from qhcontract.rewrite import NotConfluent, orient
 from qhcontract.superalgebra import AlgebraSpec, Element
@@ -176,6 +176,29 @@ def test_covariance_with_a_wrong_h_is_falsified(monkeypatch):
     v = suite.check_covariance()
     assert (v.status, v.witness, v.details) == (
         "falsified", "covariance: combined rank 10, target rank 10", ())
+
+
+def test_covariance_needs_a_unit_minor_of_the_goal(monkeypatch):
+    # the goal relations times h span the covariance relations over Q(h)
+    # but not over the ring, since h is not a unit: criterion 4 must not
+    # verify them; the elimination that gives the goal's minor is the one
+    # span_equal reduces against, so the spans are eliminated once each
+    import qhcontract.contract as contract
+
+    grh = grgroup.gr_h2()
+    scaled = AlgebraSpec.build(grh.name, [(g.name, g.parity, g.family, g.prec)
+                                          for g in grh.generators])
+    for r in grh.relations:
+        scaled.add_relation(Element(scaled, {w: Coeff.h() * c for w, c in r.terms.items()}))
+    calls = []
+    bareiss = contract._bareiss
+    monkeypatch.setattr(contract, "_bareiss", lambda rows, n: calls.append(n) or bareiss(rows, n))
+    assert suite.covariance_verdict(grh).status == "verified"
+    assert len(calls) == 2
+    with pytest.raises(NotAUnit, match=r"^minor h\^10 of the target relations on "
+                                       r"their leading words is not a unit: they span "
+                                       r"the covariance relations over Q\(h\) only$"):
+        suite.covariance_verdict(scaled)
 
 
 def test_product_theorem_with_a_wrong_second_copy_is_falsified(monkeypatch):
