@@ -19,6 +19,13 @@ would depend on the rewrite order, so it is an error that names the first
 unresolved overlap.  ``rtt`` reads its residual with
 :func:`~qhcontract.suite.residual_verdict`, as the battery does, so a
 residual that does not reduce to zero is the same error there.
+``qybe`` and ``rtt`` take any n^2 x n^2 scalar R with n >= 2, and ``rtt``
+reads the first n^2 generators of its algebra, in declaration order, as
+its n x n matrix.  Definitions are evaluated by
+:func:`~qhcontract.script.define_algebra` and
+:func:`~qhcontract.script.define_matrix`, as the builtins of
+:data:`~qhcontract.grgroup.PRELUDE` are, and a builtin name resolves to
+the one object the whole process shares.
 ``covariance``, ``inverse-check`` and ``product-check`` report the part
 verdicts of the battery's readers (:func:`~qhcontract.suite.covariance_verdict`,
 ``inverse_verdicts``, ``product_verdicts``) on the builtin algebra, each
@@ -39,6 +46,7 @@ import os
 import sys
 import traceback
 from functools import partialmethod
+from math import isqrt
 
 from . import grgroup
 from .coeffring import NotAUnit, PoleAtQ1
@@ -50,11 +58,11 @@ from .script import (  # parse_scalar is re-exported with the rest of the gramma
     Node,
     ParseError,
     UnknownName,
-    _as_scalar,
+    define_algebra,
+    define_matrix,
     parse_expression,
     parse_scalar,
     parse_script,
-    parse_sign,
 )
 from .superalgebra import AlgebraSpec
 from .suite import (LIMIT_DIFFERS, Verdict, covariance_verdict, inverse_verdicts,
@@ -67,19 +75,20 @@ class Runner:
     """Executes parsed scripts against the builtin objects.
 
     Each :meth:`run` is one script and starts with no user definitions, as
-    a fresh ``qhcontract run`` process does; the builtins are shared.
+    a fresh ``qhcontract run`` process does.  The builtins are those of
+    :data:`~qhcontract.grgroup.PRELUDE`, shared by the whole process and
+    parsed when a script first names one.
     """
 
     def __init__(self):
         self.names: dict[str, object] = {}
-        self.builtin_algebras = grgroup.builtin_algebras()
-        self.builtin_matrices = grgroup.builtin_matrices()
 
     # name resolution ---------------------------------------------------------
 
-    def _resolve(self, name: str, table: dict, kind, what: str, line):
+    def _resolve(self, name: str, builtins, kind, what: str, line):
         if name.startswith("builtin:"):
             short = name[len("builtin:"):]
+            table = builtins()
             if short in table:
                 return table[short]
             raise UnknownName(f"no builtin {what} named {short!r}", line)
@@ -88,15 +97,16 @@ class Runner:
             if not isinstance(obj, kind):
                 raise UnknownName(f"{name!r} is not a {what}", line)
             return obj
+        table = builtins()
         if name in table:
             return table[name]
         raise UnknownName(f"unknown {what} {name!r}", line)
 
     def resolve_algebra(self, name: str, line=None) -> AlgebraSpec:
-        return self._resolve(name, self.builtin_algebras, AlgebraSpec, "algebra", line)
+        return self._resolve(name, grgroup.builtin_algebras, AlgebraSpec, "algebra", line)
 
     def resolve_matrix(self, name: str, line=None):
-        return self._resolve(name, self.builtin_matrices, (ScalMat, AlgMat), "matrix", line)
+        return self._resolve(name, grgroup.builtin_matrices, (ScalMat, AlgMat), "matrix", line)
 
     def rules_for(self, spec: AlgebraSpec):
         """:func:`~qhcontract.rewrite.orient` of ``spec``; ``perfbench`` calls it."""
@@ -127,94 +137,13 @@ class Runner:
     # definitions ---------------------------------------------------------------
 
     def _run_algebra(self, node):
-        gens = []
-        crosses = {}
-        cross_lines = {}  # family pair -> line of its cross statement
-        rel_lines = []
-        for lineno, line in node.payload["body"]:
-            words = line.split()
-            if words[0] == "gen":
-                if len(words) < 2:
-                    raise ArityError("usage: gen <name> [parity=..] [family=..] [prec=..]", lineno)
-                opts = {"parity": "even", "family": "main", "prec": str(len(gens))}
-                for word in words[2:]:
-                    key, eq, value = word.partition("=")
-                    if not eq or key not in opts:
-                        raise ParseError(f"bad generator option {word!r}", lineno)
-                    opts[key] = value
-                try:
-                    prec = int(opts["prec"])
-                except ValueError:
-                    raise ParseError(f"bad prec {opts['prec']!r}", lineno) from None
-                gens.append((words[1], opts["parity"], opts["family"], prec))
-            elif words[0] == "cross":
-                if len(words) != 4 or not words[3].startswith("sign="):
-                    raise ArityError("usage: cross <famA> <famB> sign=<+1|-1>", lineno)
-                sign = parse_sign(words[3], lineno)
-                if words[1] == words[2]:
-                    raise ParseError(f"cross needs two different families, got {words[1]!r} twice",
-                                     lineno)
-                pair = frozenset(words[1:3])
-                if pair in crosses:
-                    raise ParseError(f"cross sign for {words[1]!r} and {words[2]!r} "
-                                     "is already declared", lineno)
-                crosses[pair] = sign
-                cross_lines[pair] = lineno
-            elif words[0] == "rel":
-                rel_lines.append((lineno, line[len("rel"):].strip()))
-            else:
-                raise ParseError(f"unknown algebra statement {words[0]!r}", lineno)
-        families = {family for _name, _parity, family, _prec in gens}
-        for pair, lineno in cross_lines.items():
-            missing = sorted(pair - families)
-            if missing:
-                raise ParseError(f"no generator is in family {missing[0]!r}", lineno)
-        try:
-            spec = AlgebraSpec.build(node.payload["name"], gens, crosses)
-        except ValueError as exc:
-            raise ParseError(str(exc), node.line) from None
-        for lineno, text in rel_lines:
-            if text.count("=") != 1:
-                raise ParseError("a relation needs exactly one '='", lineno)
-            lhs_text, _eq, rhs_text = text.partition("=")
-            lhs = parse_expression(lhs_text.strip(), spec, lineno)
-            rhs = parse_expression(rhs_text.strip(), spec, lineno)
-            try:
-                spec.add_relation(lhs - rhs)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-        self._define(node.payload["name"], spec, node.line)
+        self._define(node.payload["name"], define_algebra(node), node.line)
         return []
 
     def _run_mat(self, node):
         p = node.payload
         algebra = self.resolve_algebra(p["algebra"], node.line) if p["algebra"] else None
-        rows_text = [r for r in p["entries"].split(";")]
-        if len(rows_text) != p["n"]:
-            raise ArityError(
-                f"expected {p['n']} rows, got {len(rows_text)}", node.line
-            )
-        rows = []
-        for row_text in rows_text:
-            cells = row_text.split(",")
-            if len(cells) != p["n"]:
-                raise ArityError(
-                    f"expected {p['n']} entries per row, got {len(cells)}", node.line
-                )
-            rows.append([parse_expression(c.strip(), algebra, node.line) for c in cells])
-        if algebra is None:
-            scal = []
-            for row in rows:
-                out = []
-                for e in row:
-                    c = _as_scalar(e)
-                    if c is None:  # pragma: no cover - scalar context has no generators
-                        raise ParseError("matrix entry is not scalar", node.line)
-                    out.append(c)
-                scal.append(out)
-            self._define(p["name"], ScalMat(scal), node.line)
-        else:
-            self._define(p["name"], AlgMat(algebra, rows), node.line)
+        self._define(p["name"], define_matrix(node, algebra), node.line)
         return []
 
     # commands --------------------------------------------------------------------
@@ -237,8 +166,7 @@ class Runner:
 
     def _run_qybe(self, node):
         mat = self.resolve_matrix(node.payload["args"][0], node.line)
-        if not isinstance(mat, ScalMat) or mat.n != 4:
-            raise ParseError("qybe expects a 4x4 scalar matrix", node.line)
+        _tensor_size(mat, "qybe", node.line)
         res = qybe_residual(mat)
         if res.is_zero():
             return [Verdict(node.text, "verified")]
@@ -254,11 +182,11 @@ class Runner:
     def _run_rtt(self, node):
         mat = self.resolve_matrix(node.payload["rmatrix"], node.line)
         spec = self.resolve_algebra(node.payload["algebra"], node.line)
-        if not isinstance(mat, ScalMat) or mat.n != 4:
-            raise ParseError("rtt expects a 4x4 scalar matrix", node.line)
-        if len(spec.generators) < 4:
-            raise ArityError("rtt needs an algebra with at least 4 generators", node.line)
-        res = rtt_residual(mat, grgroup.entry_matrix(spec), node.payload["sign"])
+        n = _tensor_size(mat, "rtt", node.line)
+        if len(spec.generators) < n * n:
+            raise ArityError(f"rtt with a {mat.n}x{mat.n} matrix needs an algebra with at "
+                             f"least {n * n} generators", node.line)
+        res = rtt_residual(mat, grgroup.entry_matrix(spec, n), node.payload["sign"])
         return [residual_verdict(node.text, res)]
 
     def _run_contract(self, node):
@@ -289,12 +217,12 @@ class Runner:
         return [Verdict(node.text, "falsified", witness=LIMIT_DIFFERS, details=tuple(details))]
 
     def _run_covariance(self, node):
-        return [covariance_verdict(self.builtin_algebras["GRh2"])._replace(command=node.text)]
+        return [covariance_verdict(grgroup.builtin_algebras()["GRh2"])._replace(command=node.text)]
 
     def _labelled_parts(self, node, reader, algebra):
         """``reader``'s part verdicts on a builtin algebra, as ``<command> [label]``."""
         return [v._replace(command=f"{node.text} [{v.command}]")
-                for v in reader(self.builtin_algebras[algebra])]
+                for v in reader(grgroup.builtin_algebras()[algebra])]
 
     _run_inverse_check = partialmethod(_labelled_parts, reader=inverse_verdicts, algebra="GRh2")
     _run_product_check = partialmethod(_labelled_parts, reader=product_verdicts,
@@ -319,6 +247,16 @@ class Runner:
 
     def _run_verify_paper(self, node):
         return run_all()
+
+
+def _tensor_size(mat, command: str, line) -> int:
+    """n for an n^2 x n^2 scalar matrix with n >= 2; a ParseError otherwise."""
+    n = isqrt(mat.n)
+    if not isinstance(mat, ScalMat) or n < 2 or n * n != mat.n:
+        kind = "scalar matrix" if isinstance(mat, ScalMat) else f"matrix over {mat.algebra.name}"
+        raise ParseError(f"{command} expects an n^2 x n^2 scalar matrix with n >= 2, "
+                         f"got a {mat.n}x{mat.n} {kind}", line)
+    return n
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -8,6 +8,16 @@ two anticommuting generator matrices.  The covariance derivation pushes
 relations through degree-2 images with :func:`~qhcontract.contract.extend`,
 the homomorphic extension behind every ``Substitution``.
 
+The builtin algebras and matrices are one script text, :data:`PRELUDE`,
+which reads as any script does.  It is parsed on first use, at most once
+per process, by :func:`~qhcontract.script.define_algebra` and
+:func:`~qhcontract.script.define_matrix`, the evaluation that
+:class:`~qhcontract.cli.Runner` runs for scripts, and every caller shares
+the objects, so a builtin's rule system and its table of products also
+live for the whole process.  :func:`conjugation` is the one change of
+basis: it gives the contraction maps of criteria 1 to 3 and the way back
+of criterion 12.
+
 Generator precedences are part of each presentation and were chosen so that
 every relation set orients with unit leading coefficients (orientation
 validates this).  Every normal form here is taken with the rules that
@@ -17,7 +27,6 @@ the covariance derivation and the product theorem first pass
 verdicts are read off normal words.  The inverse residuals are certified
 where they are read, by :func:`~qhcontract.suite.residual_verdict`.
 """
-
 from __future__ import annotations
 
 from typing import NamedTuple
@@ -26,6 +35,7 @@ from .coeffring import Coeff
 from .contract import RelationSpan, Substitution, extend, relation_span
 from .matalg import AlgMat, ScalMat
 from .rewrite import confluent_rules
+from .script import define_algebra, define_matrix, parse_script
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -33,240 +43,192 @@ def _h(value) -> Coeff:
     return Coeff.h() if value is None else value
 
 
-def _f(h=None) -> Coeff:
-    # the singular change-of-basis entry h/(q-1)
-    return _h(h) / (Coeff.q() - Coeff.one())
+# The builtin presentations and matrices, in the script language.  The
+# generator precedences make every relation set orient with unit leading
+# coefficients, and the relation order fixes the printed limit rows of
+# criteria 1 to 3.
+PRELUDE = """\
+algebra GRq2
+  gen alpha' parity=odd family=entry prec=0
+  gen beta' parity=odd family=entry prec=1
+  gen gamma' parity=odd family=entry prec=2
+  gen delta' parity=odd family=entry prec=3
+  rel alpha'*beta' = -q^-1*beta'*alpha'
+  rel alpha'*gamma' = -q^-1*gamma'*alpha'
+  rel gamma'*delta' = -q^-1*delta'*gamma'
+  rel beta'*delta' = -q^-1*delta'*beta'
+  rel alpha'*delta' = -delta'*alpha'
+  rel alpha'^2 = 0
+  rel beta'^2 = 0
+  rel gamma'^2 = 0
+  rel delta'^2 = 0
+  rel beta'*gamma' + gamma'*beta' = (q - q^-1)*delta'*alpha'
+end
+
+# precedence gamma < alpha < delta < beta: one of the two orders of the 24
+# under which the relations orient; the other is delta < gamma < alpha <
+# beta, and both are confluent
+algebra GRh2
+  gen alpha parity=odd family=entry prec=1
+  gen beta parity=odd family=entry prec=3
+  gen gamma parity=odd family=entry prec=0
+  gen delta parity=odd family=entry prec=2
+  rel alpha*beta + beta*alpha = h*(alpha*delta + beta*gamma)
+  rel alpha*gamma + gamma*alpha = 0
+  rel beta*gamma + gamma*beta = h*(delta*gamma - gamma*alpha)
+  rel beta*delta + delta*beta = -h*(alpha*delta + gamma*beta)
+  rel alpha*delta + delta*alpha = h*(gamma*alpha - delta*gamma)
+  rel gamma*delta + delta*gamma = 0
+  rel alpha^2 = -h*gamma*alpha
+  rel beta^2 = h*(beta*delta - alpha*beta + h*alpha*delta)
+  rel gamma^2 = 0
+  rel delta^2 = h*delta*gamma
+end
+
+algebra qplane
+  gen x' parity=even family=coord prec=0
+  gen y' parity=even family=coord prec=1
+  rel x'*y' = q*y'*x'
+end
+
+# precedence y < x, so the relation orients as x*y -> y*x + h*y^2; under
+# x < y its largest word would be y^2, with the non-unit coefficient h
+algebra hplane
+  gen x parity=even family=coord prec=1
+  gen y parity=even family=coord prec=0
+  rel x*y = y*x + h*y^2
+end
+
+# of the standard sign and power choices, only this q^-1 convention
+# contracts onto the h-dual plane with its stated sign eta^2 = +h*eta*xi;
+# eta'*xi' = -q*xi'*eta' lands on the opposite sign
+algebra qdualplane
+  gen eta' parity=odd family=coord prec=1
+  gen xi' parity=odd family=coord prec=0
+  rel eta'^2 = 0
+  rel xi'^2 = 0
+  rel eta'*xi' = -q^-1*xi'*eta'
+end
+
+algebra hdualplane
+  gen eta parity=odd family=coord prec=1
+  gen xi parity=odd family=coord prec=0
+  rel xi^2 = 0
+  rel eta^2 = h*eta*xi
+  rel eta*xi = -xi*eta
+end
+
+# the six q-commutation relations satisfied by a product of two
+# anticommuting generator matrices
+algebra GLq2-target
+  gen a parity=even family=product prec=0
+  gen b parity=even family=product prec=1
+  gen c parity=even family=product prec=2
+  gen d parity=even family=product prec=3
+  rel a*b = q*b*a
+  rel a*c = q*c*a
+  rel b*c = c*b
+  rel b*d = q*d*b
+  rel c*d = q*d*c
+  rel a*d - d*a = (q - q^-1)*b*c
+end
+
+# two anticommuting copies of GRq2
+algebra GRq2xGRq2
+  gen alpha parity=odd family=first prec=0
+  gen beta parity=odd family=first prec=1
+  gen gamma parity=odd family=first prec=2
+  gen delta parity=odd family=first prec=3
+  gen alpha' parity=odd family=second prec=4
+  gen beta' parity=odd family=second prec=5
+  gen gamma' parity=odd family=second prec=6
+  gen delta' parity=odd family=second prec=7
+  cross first second sign=-1
+  rel alpha*beta = -q^-1*beta*alpha
+  rel alpha*gamma = -q^-1*gamma*alpha
+  rel gamma*delta = -q^-1*delta*gamma
+  rel beta*delta = -q^-1*delta*beta
+  rel alpha*delta = -delta*alpha
+  rel alpha^2 = 0
+  rel beta^2 = 0
+  rel gamma^2 = 0
+  rel delta^2 = 0
+  rel beta*gamma + gamma*beta = (q - q^-1)*delta*alpha
+  rel alpha'*beta' = -q^-1*beta'*alpha'
+  rel alpha'*gamma' = -q^-1*gamma'*alpha'
+  rel gamma'*delta' = -q^-1*delta'*gamma'
+  rel beta'*delta' = -q^-1*delta'*beta'
+  rel alpha'*delta' = -delta'*alpha'
+  rel alpha'^2 = 0
+  rel beta'^2 = 0
+  rel gamma'^2 = 0
+  rel delta'^2 = 0
+  rel beta'*gamma' + gamma'*beta' = (q - q^-1)*delta'*alpha'
+end
+
+# the singular change of basis, and the R-matrices of both sides
+mat g 2 [ 1, h/(q-1) ; 0, 1 ]
+mat Rq 4 [ q + q^-1, 0, 0, 0 ;
+           0, 2, q^-1 - q, 0 ;
+           0, q - q^-1, 2, 0 ;
+           0, 0, 0, q + q^-1 ]
+mat Rh 4 [ 1, -h, h, h^2 ;
+           0, 1, 0, -h ;
+           0, 0, 1, h ;
+           0, 0, 0, 1 ]
+"""
+
+# (algebras, matrices) of PRELUDE, parsed on first use and shared by every
+# caller in the process
+_builtins = None
 
 
-# -- planes --------------------------------------------------------------------
+def _parsed():
+    global _builtins
+    if _builtins is None:
+        algebras, matrices = {}, {}
+        for node in parse_script(PRELUDE):
+            if node.kind == "algebra":
+                algebras[node.payload["name"]] = define_algebra(node)
+            else:
+                matrices[node.payload["name"]] = define_matrix(node, None)
+        _builtins = algebras, matrices
+    return _builtins
 
 
-def q_plane() -> AlgebraSpec:
-    spec = AlgebraSpec.build(
-        "qplane", [("x'", "even", "coord", 0), ("y'", "even", "coord", 1)]
-    )
-    x, y = spec.gen_elements("x' y'")
-    spec.add_relation(x * y - Coeff.q() * y * x)
-    return spec
+def builtin_algebras() -> dict:
+    """The algebras of :data:`PRELUDE` by name; shared, not to be changed."""
+    return _parsed()[0]
 
 
-def h_plane(h=None) -> AlgebraSpec:
-    # precedence y < x so the relation orients as x*y -> y*x + h*y^2
-    # (under x < y its largest word would be y^2 with non-unit coefficient h)
-    spec = AlgebraSpec.build(
-        "hplane", [("x", "even", "coord", 1), ("y", "even", "coord", 0)]
-    )
-    x, y = spec.gen_elements("x y")
-    spec.add_relation(x * y - y * x - _h(h) * y * y)
-    return spec
+def builtin_matrices() -> dict:
+    """The matrices of :data:`PRELUDE` by name; shared, not to be changed."""
+    return _parsed()[1]
 
 
-def q_dual_plane() -> AlgebraSpec:
-    """Dual q-plane in the convention whose contraction matches the h-dual.
+# -- change of basis ----------------------------------------------------------------
 
-    Among the standard sign/power choices, only eta'*xi' + q^-1*xi'*eta' = 0
-    contracts onto the h-dual plane with its stated sign eta^2 = +h*eta*xi;
-    the q^+1 variant lands on the opposite sign.
+
+def conjugation(g: ScalMat, src: AlgebraSpec, dst: AlgebraSpec) -> Substitution:
+    """The change of basis by the n x n matrix ``g`` from ``src`` to ``dst``.
+
+    Generators count in declaration order.  With n^2 of them each algebra
+    is read as the n x n matrix of its generators, row by row, and the
+    source matrix goes to g A g^-1 of the target's matrix A; with n of them
+    the source coordinates go to g x of the target's column x.
     """
-    spec = AlgebraSpec.build(
-        "qdualplane", [("eta'", "odd", "coord", 1), ("xi'", "odd", "coord", 0)]
-    )
-    eta, xi = spec.gen_elements("eta' xi'")
-    qinv = Coeff.q().try_inv()
-    spec.add_relation(eta * eta)
-    spec.add_relation(xi * xi)
-    spec.add_relation(eta * xi + qinv * xi * eta)
-    return spec
-
-
-def h_dual_plane(h=None) -> AlgebraSpec:
-    spec = AlgebraSpec.build(
-        "hdualplane", [("eta", "odd", "coord", 1), ("xi", "odd", "coord", 0)]
-    )
-    eta, xi = spec.gen_elements("eta xi")
-    spec.add_relation(xi * xi)
-    spec.add_relation(eta * eta - _h(h) * eta * xi)
-    spec.add_relation(eta * xi + xi * eta)
-    return spec
-
-
-# -- matrix group presentations -------------------------------------------------
-
-
-def _add_gr_q_relations(spec: AlgebraSpec, names: str) -> None:
-    a, b, c, d = spec.gen_elements(names)
-    qinv = Coeff.q().try_inv()
-    qq = Coeff.q() - qinv
-    for rel in (
-        a * b + qinv * b * a,
-        a * c + qinv * c * a,
-        c * d + qinv * d * c,
-        b * d + qinv * d * b,
-        a * d + d * a,
-        a * a,
-        b * b,
-        c * c,
-        d * d,
-        b * c + c * b - qq * d * a,
-    ):
-        spec.add_relation(rel)
-
-
-def gr_q2() -> AlgebraSpec:
-    spec = AlgebraSpec.build(
-        "GRq2",
-        [
-            ("alpha'", "odd", "entry", 0),
-            ("beta'", "odd", "entry", 1),
-            ("gamma'", "odd", "entry", 2),
-            ("delta'", "odd", "entry", 3),
-        ],
-    )
-    _add_gr_q_relations(spec, "alpha' beta' gamma' delta'")
-    return spec
-
-
-def gr_h2(h=None) -> AlgebraSpec:
-    # precedence gamma < alpha < delta < beta: one of the two orders of the
-    # 24 under which the relations orient; the other is delta < gamma <
-    # alpha < beta, and both are confluent
-    spec = AlgebraSpec.build(
-        "GRh2",
-        [
-            ("alpha", "odd", "entry", 1),
-            ("beta", "odd", "entry", 3),
-            ("gamma", "odd", "entry", 0),
-            ("delta", "odd", "entry", 2),
-        ],
-    )
-    a, b, c, d = spec.gen_elements("alpha beta gamma delta")
-    hh = _h(h)
-    for rel in (
-        a * b + b * a - hh * (a * d + b * c),
-        a * c + c * a,
-        b * c + c * b - hh * (d * c - c * a),
-        b * d + d * b + hh * (a * d + c * b),
-        a * d + d * a - hh * (c * a - d * c),
-        c * d + d * c,
-        a * a + hh * c * a,
-        b * b - hh * (b * d - a * b + hh * a * d),
-        c * c,
-        d * d - hh * d * c,
-    ):
-        spec.add_relation(rel)
-    return spec
-
-
-def gl_q2_target() -> AlgebraSpec:
-    """The six q-commutation relations satisfied by a product of two
-    anticommuting generator matrices."""
-    spec = AlgebraSpec.build(
-        "GLq2-target",
-        [
-            ("a", "even", "product", 0),
-            ("b", "even", "product", 1),
-            ("c", "even", "product", 2),
-            ("d", "even", "product", 3),
-        ],
-    )
-    a, b, c, d = spec.gen_elements("a b c d")
-    q = Coeff.q()
-    qq = q - q.try_inv()
-    for rel in (
-        a * b - q * b * a,
-        a * c - q * c * a,
-        b * c - c * b,
-        b * d - q * d * b,
-        c * d - q * d * c,
-        a * d - d * a - qq * b * c,
-    ):
-        spec.add_relation(rel)
-    return spec
-
-
-# -- scalar matrices -------------------------------------------------------------
-
-
-def g_matrix(h=None) -> ScalMat:
-    f = _f(h)
-    one, zero = Coeff.one(), Coeff.zero()
-    return ScalMat([[one, f], [zero, one]])
-
-
-def rq_matrix() -> ScalMat:
-    q = Coeff.q()
-    qinv = q.try_inv()
-    z = Coeff.zero()
-    two = Coeff.rational(2)
-    return ScalMat(
-        [
-            [q + qinv, z, z, z],
-            [z, two, qinv - q, z],
-            [z, q - qinv, two, z],
-            [z, z, z, q + qinv],
-        ]
-    )
-
-
-def rh_matrix(h=None) -> ScalMat:
-    hh = _h(h)
-    one, z = Coeff.one(), Coeff.zero()
-    return ScalMat(
-        [
-            [one, -hh, hh, hh * hh],
-            [z, one, z, -hh],
-            [z, z, one, hh],
-            [z, z, z, one],
-        ]
-    )
-
-
-# -- substitutions ----------------------------------------------------------------
-
-
-def q_to_h_substitution(grq: AlgebraSpec, grh: AlgebraSpec, h=None) -> Substitution:
-    """Images of the q-generators after conjugating by g: the contraction map."""
-    f = _f(h)
-    a, b, c, d = grh.gen_elements("alpha beta gamma delta")
-    return Substitution.by_name(
-        grq,
-        grh,
-        {
-            "alpha'": a + f * c,
-            "beta'": b + f * (d - a - f * c),
-            "gamma'": c,
-            "delta'": d - f * c,
-        },
-    )
-
-
-def h_to_q_substitution(grh: AlgebraSpec, grq: AlgebraSpec, h=None) -> Substitution:
-    """Inverse change of generators, back into the q-presentation."""
-    f = _f(h)
-    a, b, c, d = grq.gen_elements("alpha' beta' gamma' delta'")
-    return Substitution.by_name(
-        grh,
-        grq,
-        {
-            "alpha": a - f * c,
-            "beta": b + f * (a - d - f * c),
-            "gamma": c,
-            "delta": d + f * c,
-        },
-    )
-
-
-def plane_substitution(qp: AlgebraSpec, hp: AlgebraSpec, h=None) -> Substitution:
-    """Change of plane coordinates: new = g * old on column vectors."""
-    f = _f(h)
-    x, y = hp.gen_elements("x y")
-    return Substitution.by_name(qp, hp, {"x'": x + f * y, "y'": y})
-
-
-def dual_plane_substitution(qdp: AlgebraSpec, hdp: AlgebraSpec, h=None) -> Substitution:
-    f = _f(h)
-    eta, xi = hdp.gen_elements("eta xi")
-    return Substitution.by_name(qdp, hdp, {"eta'": eta + f * xi, "xi'": xi})
+    n, count = g.n, len(src.generators)
+    if len(dst.generators) != count or count not in (n, n * n):
+        raise ValueError(f"a {n}x{n} change of basis maps {n} or {n * n} generators "
+                         f"onto as many, not {count} onto {len(dst.generators)}")
+    if count == n:
+        images = [{(k,): g.rows[i][k] for k in range(n)} for i in range(n)]
+    else:
+        ginv = g.inverse()
+        images = [{(k * n + m,): g.rows[i][k] * ginv.rows[m][j]
+                   for k in range(n) for m in range(n)}
+                  for i in range(n) for j in range(n)]
+    return Substitution(src, dst, {gid: Element(dst, terms) for gid, terms in enumerate(images)})
 
 
 # -- covariance derivation ---------------------------------------------------------
@@ -355,8 +317,9 @@ def covariance_relations(problem: CovarianceProblem, into: AlgebraSpec):
 
 def combined_covariance_span(into: AlgebraSpec) -> RelationSpan:
     """Union of the entry relations from both transformation directions."""
-    plane_to_dual = covariance_problem(h_plane(), h_dual_plane(), +1, entry_pattern=into)
-    dual_to_plane = covariance_problem(h_dual_plane(), h_plane(), -1, entry_pattern=into)
+    plane, dual = builtin_algebras()["hplane"], builtin_algebras()["hdualplane"]
+    plane_to_dual = covariance_problem(plane, dual, +1, entry_pattern=into)
+    dual_to_plane = covariance_problem(dual, plane, -1, entry_pattern=into)
     rels = covariance_relations(plane_to_dual, into) + covariance_relations(
         dual_to_plane, into
     )
@@ -366,10 +329,10 @@ def combined_covariance_span(into: AlgebraSpec) -> RelationSpan:
 # -- inverses and determinants ------------------------------------------------------
 
 
-def entry_matrix(spec: AlgebraSpec) -> AlgMat:
-    """The 2x2 matrix of the first four generators in declaration order."""
-    g = [spec.word_element((i,)) for i in range(4)]
-    return AlgMat(spec, [[g[0], g[1]], [g[2], g[3]]])
+def entry_matrix(spec: AlgebraSpec, n: int = 2) -> AlgMat:
+    """The n x n matrix of the first n^2 generators in declaration order, row by row."""
+    g = [spec.word_element((i,)) for i in range(n * n)]
+    return AlgMat(spec, [g[i * n:(i + 1) * n] for i in range(n)])
 
 
 def left_inverse(grh: AlgebraSpec, h=None) -> AlgMat:
@@ -424,27 +387,6 @@ def inverse_check(grh: AlgebraSpec, h=None) -> InverseReport:
 # -- product theorem ----------------------------------------------------------------
 
 
-def product_pair_algebra() -> AlgebraSpec:
-    """Two anticommuting copies of the q-deformed Grassmann matrix algebra."""
-    spec = AlgebraSpec.build(
-        "GRq2xGRq2",
-        [
-            ("alpha", "odd", "first", 0),
-            ("beta", "odd", "first", 1),
-            ("gamma", "odd", "first", 2),
-            ("delta", "odd", "first", 3),
-            ("alpha'", "odd", "second", 4),
-            ("beta'", "odd", "second", 5),
-            ("gamma'", "odd", "second", 6),
-            ("delta'", "odd", "second", 7),
-        ],
-        {("first", "second"): -1},
-    )
-    _add_gr_q_relations(spec, "alpha beta gamma delta")
-    _add_gr_q_relations(spec, "alpha' beta' gamma' delta'")
-    return spec
-
-
 def product_entries(spec: AlgebraSpec):
     """Entries of the product of the two generator matrices, in matrix order."""
     a1, b1, c1, d1 = spec.gen_elements("alpha beta gamma delta")
@@ -483,23 +425,3 @@ def product_entries_even(spec: AlgebraSpec) -> bool:
         for e in product_entries(spec).values()
         for w in rs.normal_form(e).terms
     )
-
-
-# -- builtin registry ----------------------------------------------------------------
-
-
-def builtin_algebras():
-    return {
-        "GRq2": gr_q2(),
-        "GRh2": gr_h2(),
-        "qplane": q_plane(),
-        "hplane": h_plane(),
-        "qdualplane": q_dual_plane(),
-        "hdualplane": h_dual_plane(),
-        "GLq2-target": gl_q2_target(),
-        "GRq2xGRq2": product_pair_algebra(),
-    }
-
-
-def builtin_matrices():
-    return {"g": g_matrix(), "Rq": rq_matrix(), "Rh": rh_matrix()}

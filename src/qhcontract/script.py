@@ -4,6 +4,9 @@ A script is a sequence of definitions (algebras, matrices) and commands,
 one statement per line, with ``algebra`` and ``contract`` blocks closed by
 ``end`` and ``#`` starting a comment.  :func:`parse_script` turns it into
 :class:`Node` records, which :class:`qhcontract.cli.Runner` executes.
+:func:`define_algebra` and :func:`define_matrix` evaluate the definition
+nodes, for the runner and for the builtins of
+:data:`qhcontract.grgroup.PRELUDE` alike.
 
 Expression grammar: integers, rational literals with ``/``, the symbols
 ``q`` and ``h``, generator names (primes allowed as a trailing ``'``),
@@ -32,6 +35,7 @@ import re
 from typing import NamedTuple
 
 from .coeffring import Coeff, NotAUnit, power
+from .matalg import AlgMat, ScalMat
 from .superalgebra import AlgebraSpec, Element
 
 
@@ -383,3 +387,94 @@ def _parse_mat_header(chunk: str, lineno: int) -> dict:
     except ValueError:
         raise ParseError(f"bad dimension {words[2]!r}", lineno) from None
     return {"name": words[1], "n": n, "algebra": algebra, "entries": entries}
+
+
+# -- definitions -------------------------------------------------------------------
+
+
+def define_algebra(node: Node) -> AlgebraSpec:
+    """The algebra an ``algebra`` node defines, with its relations attached."""
+    gens = []
+    crosses = {}
+    cross_lines = {}  # family pair -> line of its cross statement
+    rel_lines = []
+    for lineno, line in node.payload["body"]:
+        words = line.split()
+        if words[0] == "gen":
+            if len(words) < 2:
+                raise ArityError("usage: gen <name> [parity=..] [family=..] [prec=..]", lineno)
+            opts = {"parity": "even", "family": "main", "prec": str(len(gens))}
+            for word in words[2:]:
+                key, eq, value = word.partition("=")
+                if not eq or key not in opts:
+                    raise ParseError(f"bad generator option {word!r}", lineno)
+                opts[key] = value
+            try:
+                prec = int(opts["prec"])
+            except ValueError:
+                raise ParseError(f"bad prec {opts['prec']!r}", lineno) from None
+            gens.append((words[1], opts["parity"], opts["family"], prec))
+        elif words[0] == "cross":
+            if len(words) != 4 or not words[3].startswith("sign="):
+                raise ArityError("usage: cross <famA> <famB> sign=<+1|-1>", lineno)
+            sign = parse_sign(words[3], lineno)
+            if words[1] == words[2]:
+                raise ParseError(f"cross needs two different families, got {words[1]!r} twice",
+                                 lineno)
+            pair = frozenset(words[1:3])
+            if pair in crosses:
+                raise ParseError(f"cross sign for {words[1]!r} and {words[2]!r} "
+                                 "is already declared", lineno)
+            crosses[pair] = sign
+            cross_lines[pair] = lineno
+        elif words[0] == "rel":
+            rel_lines.append((lineno, line[len("rel"):].strip()))
+        else:
+            raise ParseError(f"unknown algebra statement {words[0]!r}", lineno)
+    families = {family for _name, _parity, family, _prec in gens}
+    for pair, lineno in cross_lines.items():
+        missing = sorted(pair - families)
+        if missing:
+            raise ParseError(f"no generator is in family {missing[0]!r}", lineno)
+    try:
+        spec = AlgebraSpec.build(node.payload["name"], gens, crosses)
+    except ValueError as exc:
+        raise ParseError(str(exc), node.line) from None
+    for lineno, text in rel_lines:
+        if text.count("=") != 1:
+            raise ParseError("a relation needs exactly one '='", lineno)
+        lhs_text, _eq, rhs_text = text.partition("=")
+        lhs = parse_expression(lhs_text.strip(), spec, lineno)
+        rhs = parse_expression(rhs_text.strip(), spec, lineno)
+        try:
+            spec.add_relation(lhs - rhs)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    return spec
+
+
+def define_matrix(node: Node, algebra: AlgebraSpec | None):
+    """The matrix a ``mat`` node defines: over ``algebra``, the algebra its
+    ``in`` clause names, or a :class:`~qhcontract.matalg.ScalMat` when None."""
+    p = node.payload
+    rows_text = p["entries"].split(";")
+    if len(rows_text) != p["n"]:
+        raise ArityError(f"expected {p['n']} rows, got {len(rows_text)}", node.line)
+    rows = []
+    for row_text in rows_text:
+        cells = row_text.split(",")
+        if len(cells) != p["n"]:
+            raise ArityError(f"expected {p['n']} entries per row, got {len(cells)}", node.line)
+        rows.append([parse_expression(c.strip(), algebra, node.line) for c in cells])
+    if algebra is not None:
+        return AlgMat(algebra, rows)
+    scal = []
+    for row in rows:
+        out = []
+        for e in row:
+            c = _as_scalar(e)
+            if c is None:  # pragma: no cover - scalar context has no generators
+                raise ParseError("matrix entry is not scalar", node.line)
+            out.append(c)
+        scal.append(out)
+    return ScalMat(scal)

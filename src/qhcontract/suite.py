@@ -1,7 +1,13 @@
 """The full verification battery, one check per claim group.
 
-Each check runs a complete derivation from scratch and compares exactly;
-there are no tolerances anywhere.  Each check returns a
+Each check runs a complete derivation and compares exactly; there are no
+tolerances anywhere.  The checks read the builtin algebras and matrices
+that :func:`~qhcontract.grgroup.builtin_algebras` and
+:func:`~qhcontract.grgroup.builtin_matrices` share for the whole process,
+so a rule system that one check orients serves the later ones too.  The
+contractions of criteria 1 to 3 and the round trip of criterion 12 are
+:func:`~qhcontract.grgroup.conjugation` by the builtin g, and by its
+inverse for the way back.  Each check returns a
 :class:`Verdict` whose command is ``criterion N: <name>``; the battery is
 what the command-line ``verify-paper`` command executes, and the acceptance
 tests assert the same verdicts one by one.  A falsified check reports a
@@ -113,6 +119,13 @@ def product_verdicts(spec: AlgebraSpec) -> list[Verdict]:
     return parts
 
 
+def _conjugation(source: str, target: str):
+    """The builtin g's change of basis between two builtin algebras."""
+    algebras = grgroup.builtin_algebras()
+    return grgroup.conjugation(grgroup.builtin_matrices()["g"], algebras[source],
+                               algebras[target])
+
+
 def _contraction_verdict(number: int, name: str, substitution) -> Verdict:
     c = contract_relations(substitution)
     return _verdict(number, name, c.ok, None if c.ok else LIMIT_DIFFERS,
@@ -123,7 +136,7 @@ def check_plane_contraction() -> Verdict:
     return _contraction_verdict(
         1,
         "plane contraction reproduces the h-plane relation",
-        grgroup.plane_substitution(grgroup.q_plane(), grgroup.h_plane()),
+        _conjugation("qplane", "hplane"),
     )
 
 
@@ -131,13 +144,12 @@ def check_dual_plane_contraction() -> Verdict:
     return _contraction_verdict(
         2,
         "dual plane contraction reproduces the h-dual relations",
-        grgroup.dual_plane_substitution(grgroup.q_dual_plane(), grgroup.h_dual_plane()),
+        _conjugation("qdualplane", "hdualplane"),
     )
 
 
 def check_relation_contraction() -> Verdict:
-    grq, grh = grgroup.gr_q2(), grgroup.gr_h2()
-    c = contract_relations(grgroup.q_to_h_substitution(grq, grh))
+    c = contract_relations(_conjugation("GRq2", "GRh2"))
     ranks = (c.substituted.rank(), c.limit.rank(), c.target.rank())
     ok = c.ok and ranks == (10, 10, 10)
     return _verdict(
@@ -152,23 +164,24 @@ def check_covariance() -> Verdict:
     return _fold(
         4,
         "covariance of both transformation directions spans the h-relations",
-        [covariance_verdict(grgroup.gr_h2())],
+        [covariance_verdict(grgroup.builtin_algebras()["GRh2"])],
     )
 
 
 def check_q_rtt() -> Verdict:
-    grq = grgroup.gr_q2()
-    res = rtt_residual(grgroup.rq_matrix(), grgroup.entry_matrix(grq), sign=-1)
+    grq, rq = grgroup.builtin_algebras()["GRq2"], grgroup.builtin_matrices()["Rq"]
+    res = rtt_residual(rq, grgroup.entry_matrix(grq), sign=-1)
     return residual_verdict("criterion 5: q-side tensor relation R_q A1 A2 = -A2 A1 R_q", res)
 
 
 def check_r_matrix_contraction() -> Verdict:
-    g = grgroup.g_matrix()
+    matrices = grgroup.builtin_matrices()
+    g = matrices["g"]
     gg = g.on_legs((0,), 2) * g.on_legs((1,), 2)
-    contracted = similarity(gg, grgroup.rq_matrix()).limit_q1().scale(
+    contracted = similarity(gg, matrices["Rq"]).limit_q1().scale(
         Coeff.rational(1) / Coeff.rational(2)
     )
-    ok = contracted == grgroup.rh_matrix()
+    ok = contracted == matrices["Rh"]
     return _verdict(
         6,
         "conjugated R_q has the stated q->1 limit after dividing by 2",
@@ -179,14 +192,15 @@ def check_r_matrix_contraction() -> Verdict:
 
 
 def check_h_rtt() -> Verdict:
-    grh = grgroup.gr_h2()
-    res = rtt_residual(grgroup.rh_matrix(), grgroup.entry_matrix(grh), sign=-1)
+    grh, rh = grgroup.builtin_algebras()["GRh2"], grgroup.builtin_matrices()["Rh"]
+    res = rtt_residual(rh, grgroup.entry_matrix(grh), sign=-1)
     return residual_verdict("criterion 7: h-side tensor relation R_h A1 A2 = -A2 A1 R_h", res)
 
 
 def check_qybe() -> Verdict:
-    res_q = qybe_residual(grgroup.rq_matrix())
-    res_h = qybe_residual(grgroup.rh_matrix())
+    matrices = grgroup.builtin_matrices()
+    res_q = qybe_residual(matrices["Rq"])
+    res_h = qybe_residual(matrices["Rh"])
     ok = (not res_q.is_zero()) and res_h.is_zero()
     witness = None
     if res_q.is_zero():
@@ -205,7 +219,7 @@ def check_qybe() -> Verdict:
 
 
 def check_rq_limit() -> Verdict:
-    ok = grgroup.rq_matrix().limit_q1() == ScalMat.identity(4).scale(2)
+    ok = grgroup.builtin_matrices()["Rq"].limit_q1() == ScalMat.identity(4).scale(2)
     return _verdict(9, "R_q tends to twice the identity at q = 1", ok)
 
 
@@ -213,7 +227,7 @@ def check_inverses() -> Verdict:
     return _fold(
         10,
         "one-sided inverses produce the stated determinants and exchange identity",
-        inverse_verdicts(grgroup.gr_h2()),
+        inverse_verdicts(grgroup.builtin_algebras()["GRh2"]),
         "the stated right inverse and right determinant fail as written; "
         "flipping both h-signs in the right inverse and using "
         "gamma*beta + delta*alpha makes every identity check out",
@@ -225,7 +239,7 @@ def check_product_theorem() -> Verdict:
         11,
         "product of two anticommuting generator matrices satisfies the six "
         "q-commutation relations with even entries",
-        product_verdicts(grgroup.product_pair_algebra()),
+        product_verdicts(grgroup.builtin_algebras()["GRq2xGRq2"]),
     )
 
 
@@ -234,7 +248,7 @@ def check_property_battery() -> Verdict:
     rng = random.Random(_SEED)
     problems = []
 
-    grq, grh = grgroup.gr_q2(), grgroup.gr_h2()
+    grq, grh = grgroup.builtin_algebras()["GRq2"], grgroup.builtin_algebras()["GRh2"]
     systems = [("q-relations", grq, orient(grq)), ("h-relations", grh, orient(grh))]
     for label, _spec, rs in systems:
         if rs.unresolved_overlaps():
@@ -272,8 +286,9 @@ def check_property_battery() -> Verdict:
             problems.append(f"limit of (q-1)-multiple nonzero on sample {i}")
             break
 
-    s9 = grgroup.q_to_h_substitution(grq, grh)
-    s15 = grgroup.h_to_q_substitution(grh, grq)
+    change = grgroup.builtin_matrices()["g"]
+    s9 = grgroup.conjugation(change, grq, grh)
+    s15 = grgroup.conjugation(change.inverse(), grh, grq)
     for g in grq.generators:
         e = grq.word_element((g.gid,))
         if s15.apply(s9.apply(e)) != e:

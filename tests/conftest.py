@@ -3,15 +3,84 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from qhcontract import grgroup
+from qhcontract.cli import Runner
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.contract import RelationSpan, Substitution, _primitive
-from qhcontract.grgroup import h_dual_plane
 from qhcontract.rewrite import OverlapWitness, _bareiss
+from qhcontract.script import parse_script
 from qhcontract.superalgebra import AlgebraSpec, Element
+
+
+def prelude(*names, h="h"):
+    """Fresh copies of the named definitions of ``grgroup.PRELUDE``, in the
+    order named, with h bound to the expression ``h`` by its text.
+
+    Unlike the shared builtins they start with no rule system, so a test
+    may count the work of orienting them, fill their tables or change them.
+    """
+    text = re.sub(r"\bh\b", f"({h})", grgroup.PRELUDE)
+    runner = Runner()
+    assert runner.run([n for n in parse_script(text) if n.payload["name"] in names]) == []
+    return tuple(runner.names[name] for name in names)
+
+
+# -- change-of-basis maps written out by hand, the references that
+# grgroup.conjugation is compared with
+
+def _f(h=None):
+    # the singular change-of-basis entry h/(q-1)
+    return (Coeff.h() if h is None else h) / (Coeff.q() - Coeff.one())
+
+
+def q_to_h_substitution(grq: AlgebraSpec, grh: AlgebraSpec, h=None) -> Substitution:
+    """Images of the q-generators after conjugating by g: the contraction map."""
+    f = _f(h)
+    a, b, c, d = grh.gen_elements("alpha beta gamma delta")
+    return Substitution.by_name(
+        grq,
+        grh,
+        {
+            "alpha'": a + f * c,
+            "beta'": b + f * (d - a - f * c),
+            "gamma'": c,
+            "delta'": d - f * c,
+        },
+    )
+
+
+def h_to_q_substitution(grh: AlgebraSpec, grq: AlgebraSpec, h=None) -> Substitution:
+    """Inverse change of generators, back into the q-presentation."""
+    f = _f(h)
+    a, b, c, d = grq.gen_elements("alpha' beta' gamma' delta'")
+    return Substitution.by_name(
+        grh,
+        grq,
+        {
+            "alpha": a - f * c,
+            "beta": b + f * (a - d - f * c),
+            "gamma": c,
+            "delta": d + f * c,
+        },
+    )
+
+
+def plane_substitution(qp: AlgebraSpec, hp: AlgebraSpec, h=None) -> Substitution:
+    """Change of plane coordinates: new = g * old on column vectors."""
+    f = _f(h)
+    x, y = hp.gen_elements("x y")
+    return Substitution.by_name(qp, hp, {"x'": x + f * y, "y'": y})
+
+
+def dual_plane_substitution(qdp: AlgebraSpec, hdp: AlgebraSpec, h=None) -> Substitution:
+    f = _f(h)
+    eta, xi = hdp.gen_elements("eta xi")
+    return Substitution.by_name(qdp, hdp, {"eta'": eta + f * xi, "xi'": xi})
 
 
 def random_coeff(rng: random.Random, q1_free: bool = False) -> Coeff:
@@ -182,7 +251,7 @@ def wrong_dual_plane_substitution():
     wrong.add_relation(eta * eta)
     wrong.add_relation(xi * xi)
     wrong.add_relation(eta * xi + q * (xi * eta))
-    hdp = h_dual_plane()
+    hdp = grgroup.builtin_algebras()["hdualplane"]
     eta_h, xi_h = hdp.gen_elements("eta xi")
     return Substitution.by_name(wrong, hdp, {"eta'": eta_h + f * xi_h, "xi'": xi_h})
 
@@ -221,9 +290,6 @@ def round_loop_limit(sp: RelationSpan) -> RelationSpan:
 def demo_algebras(name: str) -> dict:
     """The algebras that ``demos/<name>.qh`` defines, by name."""
     from pathlib import Path
-
-    from qhcontract.cli import Runner
-    from qhcontract.script import parse_script
 
     path = Path(__file__).resolve().parent.parent / "demos" / f"{name}.qh"
     runner = Runner()

@@ -89,7 +89,7 @@ def test_criterion_10_inverses():
         for note in r.details
     ), r.details
 
-    grh = grgroup.gr_h2()
+    grh = grgroup.builtin_algebras()["GRh2"]
     a, b, c, d = grh.gen_elements("alpha beta gamma delta")
     h = Coeff.h()
     a_mat = grgroup.entry_matrix(grh)

@@ -14,7 +14,8 @@ from qhcontract.cli import (
     parse_script,
     report,
 )
-from qhcontract.grgroup import gr_h2, gr_q2, h_plane
+from qhcontract import grgroup
+from qhcontract.grgroup import builtin_algebras
 from qhcontract.matalg import ScalMat
 from qhcontract.rewrite import RuleSystem
 from qhcontract.script import MAX_EXPONENT, MAX_LITERAL_DIGITS
@@ -45,14 +46,14 @@ def test_parse_rejects_non_unit_division():
 
 
 def test_parse_expression_in_algebra():
-    grq = gr_q2()
+    grq = builtin_algebras()["GRq2"]
     e = parse_expression("alpha'*beta' + q^-1*beta'*alpha'", grq)
     a, b = grq.gen_elements("alpha' beta'")
     assert e == a * b + Q**-1 * (b * a)
 
 
 def test_parse_powers_of_generators():
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     a = grh.gen_element("alpha")
     assert parse_expression("alpha^3", grh) == a * a * a
     assert parse_expression("alpha^0", grh) == grh.unit()
@@ -60,17 +61,17 @@ def test_parse_powers_of_generators():
 
 def test_parse_unknown_name():
     with pytest.raises(UnknownName):
-        parse_expression("alpha", gr_q2())  # GRq2 only has primed names
+        parse_expression("alpha", builtin_algebras()["GRq2"])  # GRq2 only has primed names
 
 
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
-        parse_expression("alpha' + $", gr_q2(), line=7)
+        parse_expression("alpha' + $", builtin_algebras()["GRq2"], line=7)
     assert "line 7" in str(err.value)
     with pytest.raises(ParseError):
-        parse_expression("", gr_q2())
+        parse_expression("", builtin_algebras()["GRq2"])
     with pytest.raises(ParseError):
-        parse_expression("(alpha'", gr_q2())
+        parse_expression("(alpha'", builtin_algebras()["GRq2"])
 
 
 def test_scalar_roundtrip_through_printer(rng):
@@ -80,7 +81,7 @@ def test_scalar_roundtrip_through_printer(rng):
 
 
 def test_element_roundtrip_through_printer(rng):
-    for spec in (gr_q2(), gr_h2()):
+    for spec in (builtin_algebras()["GRq2"], builtin_algebras()["GRh2"]):
         for _ in range(150):
             e = random_element(rng, spec, max_degree=3)
             assert parse_expression(str(e), spec) == e
@@ -176,7 +177,7 @@ def test_matrix_definition_scalar_and_algebra():
     assert verdicts == []
     m = runner.names["M"]
     assert isinstance(m, ScalMat) and m.rows[0][1] == H / (Q - 1)
-    assert runner.names["A"].rows[1][0] == runner.builtin_algebras["GRh2"].gen_element("gamma")
+    assert runner.names["A"].rows[1][0] == builtin_algebras()["GRh2"].gen_element("gamma")
 
 
 def test_matrix_arity_errors():
@@ -209,6 +210,53 @@ def test_qybe_verdicts():
 def test_rtt_command():
     verdicts, _ = run_script("rtt builtin:Rq GRq2 sign=-1\nrtt builtin:Rh GRh2")
     assert all(v.status == "verified" for v in verdicts)
+
+
+def _mat_text(name, n, entry):
+    """A ``mat`` line of the n x n matrix whose entries are ``entry(row, col)`` texts."""
+    rows = (", ".join(entry(r, c) for c in range(n)) for r in range(n))
+    return f"mat {name} {n} [ " + " ; ".join(rows) + " ]\n"
+
+
+def _frt_entry(flip=None):
+    """R_q(3): q on E_ii (x) E_ii, 1 on E_ii (x) E_jj (i != j) and q - q^-1
+    on E_ij (x) E_ji (i > j), with the sign of entry ``flip`` changed."""
+    def entry(r, c):
+        i, j = divmod(r, 3)
+        if r == c:
+            return "q" if i == j else "1"
+        if i > j and c == 3 * j + i:
+            return "-(q - q^-1)" if (r, c) == flip else "q - q^-1"
+        return "0"
+    return entry
+
+
+def test_qybe_reads_n_from_the_size_of_r():
+    verdicts, _ = run_script(_mat_text("R3", 9, _frt_entry())
+                             + _mat_text("R3flip", 9, _frt_entry(flip=(7, 5)))
+                             + "qybe R3\nqybe R3flip\n")
+    assert [v.status for v in verdicts] == ["verified", "falsified"]
+
+
+def test_rtt_reads_n_from_the_size_of_r():
+    # the flip P has P A1 P = A2, so P A1 A2 = A2 A1 P holds in the free
+    # algebra on the nine entries; the identity gives A1 A2 - A2 A1
+    free = "algebra free9\n" + "".join(f" gen t{i}{j}\n" for i in range(3) for j in range(3))
+    flip = _mat_text("P", 9, lambda r, c: "1" if c == 3 * (r % 3) + r // 3 else "0")
+    ident = _mat_text("I", 9, lambda r, c: "1" if r == c else "0")
+    verdicts, _ = run_script(free + "end\n" + flip + ident
+                             + "rtt P free9 sign=+1\nrtt I free9 sign=+1\n")
+    assert [v.status for v in verdicts] == ["verified", "falsified"]
+    assert verdicts[1].witness.startswith("entry (1,2): ")
+
+
+def test_rtt_with_a_9x9_r_on_grh2_is_an_error(tmp_path, capsys):
+    script = tmp_path / "rtt9.qh"
+    script.write_text(_mat_text("R3", 9, _frt_entry()) + "rtt R3 GRh2\n", encoding="utf-8")
+    assert main(["--porcelain", "run", str(script)]) == 2
+    assert capsys.readouterr().out == (
+        "error\trtt R3 GRh2\tline 2: rtt with a 9x9 matrix needs an algebra with at least "
+        "9 generators\n")
 
 
 def test_contract_command_verifies_plane():
@@ -338,7 +386,7 @@ def test_report_porcelain_deterministic():
 
 def test_parse_script_roundtrip_of_printed_relation():
     # parse . print . parse is stable on a relation element
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     for rel in grh.relations:
         printed = str(rel)
         assert parse_expression(printed, grh) == rel
@@ -374,7 +422,7 @@ def test_deep_nesting_is_an_error_not_a_verdict(tmp_path, capsys, expr):
 
 
 def test_nesting_bound_counts_parentheses_and_minus_signs():
-    hp = h_plane()
+    hp = builtin_algebras()["hplane"]
     x = hp.gen_element("x")
     assert parse_expression("(" * 100 + "x" + ")" * 100, hp) == x
     assert parse_expression("-(" * 50 + "x" + ")" * 50, hp) == x
@@ -391,7 +439,7 @@ def test_large_exponent_keeps_its_output(capsys):
         "       normal form: x^20000\n"
         "1 verified, 0 falsified, 0 errors\n"
     )
-    hp = h_plane()
+    hp = builtin_algebras()["hplane"]
     x, y = hp.gen_elements("x y")
     assert parse_expression("(x+y)^5", hp) == (x + y) * (x + y) * (x + y) * (x + y) * (x + y)
     assert parse_expression("(q+h)^3/q^-2", hp) == hp.scalar((Q + H) * (Q + H) * (Q + H) * Q * Q)
@@ -419,13 +467,13 @@ def test_literal_bound_is_an_error_not_a_verdict(tmp_path, capsys, digits):
 
 
 def test_literal_bound_is_inclusive():
-    hp = h_plane()
+    hp = builtin_algebras()["hplane"]
     big = "9" * MAX_LITERAL_DIGITS
     assert parse_expression(f"x + 000{big}", hp) == hp.gen_element("x") + hp.scalar(int(big))
 
 
 def test_exponent_bound_is_inclusive():
-    hp = h_plane()
+    hp = builtin_algebras()["hplane"]
     word = parse_expression(f"x^{MAX_EXPONENT}", hp).leading_word()
     assert word == (hp.generator_named("x").gid,) * MAX_EXPONENT
     assert parse_expression(f"q^-{MAX_EXPONENT}", hp) == hp.scalar(Q**-MAX_EXPONENT)
@@ -485,6 +533,7 @@ def test_each_run_is_one_script():
 
 
 def test_a_repeated_nf_reads_every_product_from_the_table(monkeypatch):
+    monkeypatch.setattr(grgroup, "_builtins", None)  # builtins with empty tables
     calls = []
     normal_form = RuleSystem.normal_form
     monkeypatch.setattr(RuleSystem, "normal_form",
@@ -514,10 +563,12 @@ BAD_DEFINITIONS = {
     "short matrix": ("mat myR 4 [ 1, -h, h, h^2 ; 0, 1, 0, -h ; 0, 0, 1, h ]\n", QYBE, "",
                      "error: line 1: expected 4 rows, got 3\n"),
     "2x2 matrix": ("mat myR 2 [ 1, 0 ; 0, 1 ]\n", QYBE,
-                   "[ERR ] qybe myR\n       witness: qybe expects a 4x4 scalar matrix\n"
+                   "[ERR ] qybe myR\n       witness: qybe expects an n^2 x n^2 scalar matrix "
+                   "with n >= 2, got a 2x2 scalar matrix\n"
                    "0 verified, 0 falsified, 1 errors\n", ""),
     "2x2 matrix, porcelain": ("mat myR 2 [ 1, 0 ; 0, 1 ]\n", ["--porcelain"] + QYBE,
-                              "error\tqybe myR\tqybe expects a 4x4 scalar matrix\n", ""),
+                              "error\tqybe myR\tqybe expects an n^2 x n^2 scalar matrix "
+                              "with n >= 2, got a 2x2 scalar matrix\n", ""),
 }
 
 

@@ -17,28 +17,21 @@ from qhcontract.contract import (
     relation_span,
     span_equal,
 )
-from qhcontract.grgroup import (
-    dual_plane_substitution,
-    gr_h2,
-    gr_q2,
-    h_dual_plane,
-    h_plane,
-    h_to_q_substitution,
-    q_dual_plane,
-    q_plane,
-    q_to_h_substitution,
-    plane_substitution,
-)
+from qhcontract.grgroup import builtin_algebras, builtin_matrices, conjugation
+
+from conftest import prelude, q_to_h_substitution
 
 Q = Coeff.q()
 H = Coeff.h()
 F = H / (Q - Coeff.one())
+ALG = builtin_algebras()
+G = builtin_matrices()["g"]
 
 
 def test_apply_subst_hand_expansion():
     # gamma'delta' + q^-1 delta'gamma' under the contraction images
-    grq, grh = gr_q2(), gr_h2()
-    s = q_to_h_substitution(grq, grh)
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
+    s = conjugation(G, grq, grh)
     g_, d_ = grq.gen_elements("gamma' delta'")
     c, d = grh.gen_elements("gamma delta")
     got = s.apply(g_ * d_ + Q**-1 * (d_ * g_))
@@ -47,7 +40,7 @@ def test_apply_subst_hand_expansion():
 
 
 def test_apply_subst_identity():
-    grh = gr_h2()
+    grh = ALG["GRh2"]
     ident = Substitution(
         grh, grh, {g.gid: grh.word_element((g.gid,)) for g in grh.generators}
     )
@@ -56,8 +49,8 @@ def test_apply_subst_identity():
 
 
 def test_apply_subst_plane_relation():
-    qp, hp = q_plane(), h_plane()
-    s = plane_substitution(qp, hp)
+    qp, hp = ALG["qplane"], ALG["hplane"]
+    s = conjugation(G, qp, hp)
     xq, yq = qp.gen_elements("x' y'")
     x, y = hp.gen_elements("x y")
     got = s.apply(xq * yq - Q * (yq * xq))
@@ -71,8 +64,8 @@ def test_apply_subst_plane_relation():
 def test_apply_subst_respects_multiplication(rng):
     from conftest import random_element
 
-    grq, grh = gr_q2(), gr_h2()
-    s = q_to_h_substitution(grq, grh)
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
+    s = conjugation(G, grq, grh)
     for _ in range(100):
         a = random_element(rng, grq)
         b = random_element(rng, grq)
@@ -80,15 +73,15 @@ def test_apply_subst_respects_multiplication(rng):
 
 
 def test_missing_image():
-    grq, grh = gr_q2(), gr_h2()
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
     with pytest.raises(MissingImage):
         Substitution(grq, grh, {0: grh.gen_element("alpha")})
 
 
 def test_substitutions_are_mutually_inverse():
-    grq, grh = gr_q2(), gr_h2()
-    s9 = q_to_h_substitution(grq, grh)
-    s15 = h_to_q_substitution(grh, grq)
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
+    s9 = conjugation(G, grq, grh)
+    s15 = conjugation(G.inverse(), grh, grq)
     for g in grq.generators:
         e = grq.word_element((g.gid,))
         assert s15.apply(s9.apply(e)) == e
@@ -98,7 +91,7 @@ def test_substitutions_are_mutually_inverse():
 
 
 def test_substitution_invertibility_is_validated():
-    grq, grh = gr_q2(), gr_h2()
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
     a = grh.gen_element("alpha")
     degenerate = {g.gid: a for g in grq.generators}
     with pytest.raises(ValueError):
@@ -107,7 +100,7 @@ def test_substitution_invertibility_is_validated():
 
 def test_substitution_with_a_non_unit_determinant_is_refused():
     # x' -> h*x has full rank, but its determinant h is not a unit
-    qp, hp = q_plane(), h_plane()
+    qp, hp = ALG["qplane"], ALG["hplane"]
     x, y = hp.gen_elements("x y")
     with pytest.raises(BadSubstitution, match="^substitution is not invertible over the scalars$"):
         Substitution.by_name(qp, hp, {"x'": H * x, "y'": y})
@@ -116,27 +109,27 @@ def test_substitution_with_a_non_unit_determinant_is_refused():
 
 
 def test_relation_span_ranks():
-    grq, grh = gr_q2(), gr_h2()
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
     assert relation_span(grq.relations, grq).rank() == 10
     assert relation_span(grh.relations, grh).rank() == 10
 
 
 def test_relation_span_empty():
-    grh = gr_h2()
+    grh = ALG["GRh2"]
     sp = relation_span([], grh)
     assert sp.rank() == 0 and sp.rows == []
     assert span_equal(sp, relation_span([], grh))
 
 
 def test_relation_span_degree_error():
-    grh = gr_h2()
+    grh = ALG["GRh2"]
     a, b, c = grh.gen_elements("alpha beta gamma")
     with pytest.raises(DegreeError):
         relation_span([a * b * c], grh)
 
 
 def test_span_equal_respects_row_scaling():
-    grh = gr_h2()
+    grh = ALG["GRh2"]
     sp = relation_span(grh.relations, grh)
     scaled = relation_span(
         [r.scale(Q ** (i % 3 - 1)) for i, r in enumerate(grh.relations)], grh
@@ -145,8 +138,8 @@ def test_span_equal_respects_row_scaling():
 
 
 def test_span_of_q_and_h_relations_differ():
-    grq, grh = gr_q2(), gr_h2()
-    s9 = q_to_h_substitution(grq, grh)
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
+    s9 = conjugation(G, grq, grh)
     # compare in the same ambient basis: substituted q-span vs h-span
     qspan = relation_span([s9.apply(r) for r in grq.relations], grh)
     hspan = relation_span(grh.relations, grh)
@@ -154,16 +147,16 @@ def test_span_of_q_and_h_relations_differ():
 
 
 def test_plane_contraction():
-    qp, hp = q_plane(), h_plane()
-    s = plane_substitution(qp, hp)
+    qp, hp = ALG["qplane"], ALG["hplane"]
+    s = conjugation(G, qp, hp)
     sp = limit_span(relation_span([s.apply(r) for r in qp.relations], hp))
     assert sp.rank() == 1
     assert span_equal(sp, relation_span(hp.relations, hp))
 
 
 def test_dual_plane_contraction():
-    qdp, hdp = q_dual_plane(), h_dual_plane()
-    s = dual_plane_substitution(qdp, hdp)
+    qdp, hdp = ALG["qdualplane"], ALG["hdualplane"]
+    s = conjugation(G, qdp, hdp)
     sp = limit_span(relation_span([s.apply(r) for r in qdp.relations], hdp))
     assert sp.rank() == 3
     assert span_equal(sp, relation_span(hdp.relations, hdp))
@@ -179,8 +172,8 @@ def test_dual_plane_wrong_convention_misses_target():
 
 
 def test_gr_relation_contraction():
-    grq, grh = gr_q2(), gr_h2()
-    s9 = q_to_h_substitution(grq, grh)
+    grq, grh = ALG["GRq2"], ALG["GRh2"]
+    s9 = conjugation(G, grq, grh)
     sp = relation_span([s9.apply(r) for r in grq.relations], grh)
     assert sp.rank() == 10
     lim = limit_span(sp)
@@ -195,15 +188,15 @@ def test_gr_relation_contraction():
 
 def test_contract_relations_falsifies_a_wrong_substitution():
     # x' -> x + 2h/(q-1)*y contracts onto xy = yx + 2h y^2, not the h-plane
-    qp, hp = q_plane(), h_plane()
-    c = contract_relations(plane_substitution(qp, hp, h=2 * H))
+    qp, hp = ALG["qplane"], ALG["hplane"]
+    c = contract_relations(conjugation(prelude("g", h="2*h")[0], qp, hp))
     assert not c.ok
     assert [str(e) for e in c.limit.to_elements()] == ["-x*y + y*x + 2*h*y^2"]
 
 
 def test_limit_span_preserves_rank_and_is_q_free():
-    qdp, hdp = q_dual_plane(), h_dual_plane()
-    s = dual_plane_substitution(qdp, hdp)
+    qdp, hdp = ALG["qdualplane"], ALG["hdualplane"]
+    s = conjugation(G, qdp, hdp)
     sp = relation_span([s.apply(r) for r in qdp.relations], hdp)
     lim = limit_span(sp)
     assert lim.rank() == sp.rank()
@@ -214,7 +207,7 @@ def test_limit_span_preserves_rank_and_is_q_free():
 
 
 def test_limit_span_of_q_free_span_is_identity_on_rows():
-    grh = gr_h2()
+    grh = ALG["GRh2"]
     sp = relation_span(grh.relations, grh)
     lim = limit_span(sp)
     assert span_equal(lim, sp)
@@ -225,9 +218,9 @@ def test_kept_ranks_match_fresh_spans():
     # accepted to its input and to the span it returns; a span rebuilt from
     # the same rows must agree
     cases = [
-        (plane_substitution(q_plane(), h_plane()), 1),
-        (dual_plane_substitution(q_dual_plane(), h_dual_plane()), 3),
-        (q_to_h_substitution(gr_q2(), gr_h2()), 10),
+        (conjugation(G, ALG["qplane"], ALG["hplane"]), 1),
+        (conjugation(G, ALG["qdualplane"], ALG["hdualplane"]), 3),
+        (conjugation(G, ALG["GRq2"], ALG["GRh2"]), 10),
     ]
     for s, rank in cases:
         sp = relation_span([s.apply(r) for r in s.source.relations], s.target)
@@ -256,7 +249,7 @@ def test_a_contraction_takes_two_eliminations_and_none_over_q(monkeypatch):
 
     for module in (contract, matalg, rewrite):
         monkeypatch.setattr(module, "_bareiss", counted(module._bareiss))
-    s = q_to_h_substitution(gr_q2(), gr_h2())
+    s = q_to_h_substitution(*prelude("GRq2", "GRh2"))
     assert len(calls) == 1  # the invertibility check, whose lifted rows carry (q-1)
     c = contract_relations(s)
     assert c.ok and c.substituted.rank() == 10

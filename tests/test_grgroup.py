@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from qhcontract.coeffring import Coeff
@@ -8,34 +10,78 @@ import itertools
 from qhcontract.rewrite import NotConfluent, OrientationFailure, orient
 from qhcontract.superalgebra import AlgebraSpec, Element
 from qhcontract.grgroup import (
+    builtin_algebras,
+    builtin_matrices,
     combined_covariance_span,
+    conjugation,
     covariance_problem,
     covariance_relations,
     delta_left,
     delta_right,
     entry_matrix,
-    gl_q2_target,
-    gr_h2,
-    h_dual_plane,
-    h_plane,
     inverse_check,
     left_inverse,
     product_entries,
     product_entries_even,
-    product_pair_algebra,
     product_theorem,
     right_inverse,
 )
 
-from conftest import brute_force_overlaps, in_ideal_component
+from conftest import (brute_force_overlaps, dual_plane_substitution, h_to_q_substitution,
+                      in_ideal_component, plane_substitution, prelude, q_to_h_substitution)
 
 H = Coeff.h()
 ZERO_H = Coeff.zero()
+BUILTINS = Path(__file__).resolve().parent / "data" / "builtins.txt"
+
+
+def _builtins_text():
+    """Every builtin algebra's generators, cross signs and relations, and
+    every builtin matrix, printed in order."""
+    lines = []
+    for name, spec in builtin_algebras().items():
+        lines.append(f"algebra {name} ({spec.name})")
+        lines += [f"  gen {g.name} {g.parity} {g.family} {g.prec}" for g in spec.generators]
+        lines += [f"  cross {' '.join(sorted(fams))} {sign:+d}"
+                  for fams, sign in sorted(spec.cross_sign.items(), key=lambda kv: sorted(kv[0]))]
+        lines += [f"  rel {r}" for r in spec.relations]
+    for name, mat in builtin_matrices().items():
+        lines.append(f"mat {name}")
+        lines += [f"  {row}" for row in str(mat).splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+def test_builtins_are_the_recorded_presentations():
+    # recorded from the Python builders that the prelude text replaced
+    assert _builtins_text() == BUILTINS.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("h", ["h", "2*h"])
+@pytest.mark.parametrize("source, target, reference", [
+    ("qplane", "hplane", plane_substitution),
+    ("qdualplane", "hdualplane", dual_plane_substitution),
+    ("GRq2", "GRh2", q_to_h_substitution),
+    ("GRh2", "GRq2", h_to_q_substitution),
+], ids=["plane", "dual-plane", "GRq2-GRh2", "GRh2-GRq2"])
+def test_conjugation_gives_the_hand_written_images(h, source, target, reference):
+    src, dst, g = prelude(source, target, "g", h=h)
+    if source == "GRh2":  # the way back, as criterion 12 takes it
+        g = g.inverse()
+    got = conjugation(g, src, dst)
+    want = reference(src, dst, h=2 * H if h == "2*h" else H)
+    assert got.images == want.images
+
+
+def test_conjugation_refuses_a_generator_count_that_is_not_n_or_n_squared():
+    grh, hplane, g = prelude("GRh2", "hplane", "g")
+    with pytest.raises(ValueError, match=r"^a 2x2 change of basis maps 2 or 4 generators "
+                                         r"onto as many, not 4 onto 2$"):
+        conjugation(g, grh, hplane)
 
 
 @pytest.fixture(scope="module")
 def grh():
-    return gr_h2()
+    return builtin_algebras()["GRh2"]
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +99,7 @@ def test_covariance_xi_condition(grh):
     )
     xi = target.gen_element("xi")
     target.add_relation(xi * xi)
-    prob = covariance_problem(h_plane(), target, +1, entry_pattern=grh)
+    prob = covariance_problem(builtin_algebras()["hplane"], target, +1, entry_pattern=grh)
     rels = covariance_relations(prob, grh)
     c, d = grh.gen_elements("gamma delta")
     # raw coefficients of y^2, y*x, x^2 under the rule x*y -> y*x + h*y^2
@@ -72,14 +118,15 @@ def test_covariance_refuses_a_non_confluent_target(grh):
     )
     eta, xi = target.gen_elements("eta xi")
     target.add_relation(eta * eta - xi * eta)
-    prob = covariance_problem(h_plane(), target, +1, entry_pattern=grh)
+    prob = covariance_problem(builtin_algebras()["hplane"], target, +1, entry_pattern=grh)
     with pytest.raises(NotConfluent, match=r"^not confluent: eta\^3 -> xi\^2\*eta \| "):
         covariance_relations(prob, grh)
 
 
 def test_covariance_eta_condition_span(grh):
     """eta_bar^2 = h eta_bar xi_bar yields the alpha/beta relations up to span."""
-    prob = covariance_problem(h_plane(), h_dual_plane(), +1, entry_pattern=grh)
+    plane, dual = builtin_algebras()["hplane"], builtin_algebras()["hdualplane"]
+    prob = covariance_problem(plane, dual, +1, entry_pattern=grh)
     rels = covariance_relations(prob, grh)
     assert len(rels) == 9
     # the dual plane declares xi^2 first, so relations 3..5 come from the
@@ -110,19 +157,16 @@ def test_covariance_combined_span_is_the_h_relations(grh):
 
 
 def test_covariance_single_direction_is_smaller(grh):
-    prob = covariance_problem(h_plane(), h_dual_plane(), +1, entry_pattern=grh)
+    plane, dual = builtin_algebras()["hplane"], builtin_algebras()["hdualplane"]
+    prob = covariance_problem(plane, dual, +1, entry_pattern=grh)
     rels = covariance_relations(prob, grh)
     assert relation_span(rels, grh).rank() == 9
 
 
 def test_covariance_h0_gives_plain_anticommutation():
-    grh0 = gr_h2(h=ZERO_H)
-    prob1 = covariance_problem(
-        h_plane(h=ZERO_H), h_dual_plane(h=ZERO_H), +1, entry_pattern=grh0
-    )
-    prob2 = covariance_problem(
-        h_dual_plane(h=ZERO_H), h_plane(h=ZERO_H), -1, entry_pattern=grh0
-    )
+    grh0, plane0, dual0 = prelude("GRh2", "hplane", "hdualplane", h="0")
+    prob1 = covariance_problem(plane0, dual0, +1, entry_pattern=grh0)
+    prob2 = covariance_problem(dual0, plane0, -1, entry_pattern=grh0)
     rels = covariance_relations(prob1, grh0) + covariance_relations(prob2, grh0)
     gens = [grh0.word_element((i,)) for i in range(4)]
     anticommutation = [
@@ -152,7 +196,7 @@ def test_left_inverse_identity_holds(grh, rules_h):
 
 
 def test_left_inverse_h0_specialization():
-    grh0 = gr_h2(h=ZERO_H)
+    grh0, = prelude("GRh2", h="0")
     a, b, c, d = grh0.gen_elements("alpha beta gamma delta")
     li = left_inverse(grh0, h=ZERO_H)
     assert li == AlgMat(grh0, [[d, b], [-c, -a]])
@@ -243,7 +287,7 @@ def test_determinants_are_even(grh, rules_h):
 
 @pytest.fixture(scope="module")
 def pair():
-    spec = product_pair_algebra()
+    spec = builtin_algebras()["GRq2xGRq2"]
     return spec, orient(spec)
 
 
@@ -296,7 +340,7 @@ def test_product_relation_via_naive_reducer(pair):
 
 
 def test_gl_q2_target_orients_and_is_confluent():
-    rs = orient(gl_q2_target())
+    rs = orient(builtin_algebras()["GLq2-target"])
     assert brute_force_overlaps(rs, 4) == []
 
 
@@ -307,11 +351,11 @@ def test_gr_h2_orients_under_two_of_the_24_precedence_orders():
     oriented = {}
     for prec in itertools.permutations(range(4)):
         spec = AlgebraSpec.build("GRh2", [(n, "odd", "entry", p) for n, p in zip(names, prec)])
-        for rel in gr_h2().relations:
+        for rel in builtin_algebras()["GRh2"].relations:
             spec.add_relation(Element(spec, rel.terms))
         try:
             oriented[prec] = orient(spec).unresolved_overlaps() == []
         except OrientationFailure:
             pass
     assert oriented == {(1, 3, 0, 2): True, (2, 3, 0, 1): True}
-    assert tuple(g.prec for g in gr_h2().generators) == (1, 3, 0, 2)
+    assert tuple(g.prec for g in builtin_algebras()["GRh2"].generators) == (1, 3, 0, 2)

@@ -11,14 +11,7 @@ from qhcontract.matalg import (
     rtt_residual,
     similarity,
 )
-from qhcontract.grgroup import (
-    entry_matrix,
-    g_matrix,
-    gr_h2,
-    gr_q2,
-    rh_matrix,
-    rq_matrix,
-)
+from qhcontract.grgroup import builtin_algebras, builtin_matrices, entry_matrix
 
 Q = Coeff.q()
 H = Coeff.h()
@@ -28,7 +21,7 @@ F = H / (Q - ONE)
 
 
 def g_tensor_g():
-    g = g_matrix()
+    g = builtin_matrices()["g"]
     return g.on_legs((0,), 2) * g.on_legs((1,), 2)
 
 
@@ -42,13 +35,13 @@ def test_kron_of_g_is_unitriangular_with_f():
 
 
 def test_similarity_with_identity():
-    r = rq_matrix()
+    r = builtin_matrices()["Rq"]
     assert similarity(ScalMat.identity(4), r) == r
 
 
 def test_similarity_roundtrip():
     gg = g_tensor_g()
-    r = rq_matrix()
+    r = builtin_matrices()["Rq"]
     assert similarity(gg.inverse(), similarity(gg, r)) == r
 
 
@@ -71,7 +64,7 @@ def test_inverse_rejects_non_unit_pivot():
 
 
 def test_limit_of_rq_is_twice_identity():
-    assert rq_matrix().limit_q1() == ScalMat.identity(4).scale(2)
+    assert builtin_matrices()["Rq"].limit_q1() == ScalMat.identity(4).scale(2)
 
 
 def test_limit_reports_pole_position():
@@ -82,7 +75,7 @@ def test_limit_reports_pole_position():
 
 
 def test_rq_at_q1_equals_2I_via_entries():
-    r = rq_matrix()
+    r = builtin_matrices()["Rq"]
     lim = r.limit_q1()
     for i in range(4):
         for j in range(4):
@@ -95,7 +88,7 @@ def _scalar_matrix(n, entry):
 
 
 def test_embeddings():
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     a = entry_matrix(grh)
     a1, a2 = a.on_legs((0,), 2), a.on_legs((1,), 2)
     for i in range(2):
@@ -132,20 +125,20 @@ def test_embeddings():
 
 
 def test_embed2_identity_diagonal_pattern():
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     ident = AlgMat.identity(grh, 2)
     e2 = ident.on_legs((1,), 2)
     assert e2 == AlgMat.identity(grh, 4)
 
 
 def test_mat_mul_identity():
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     a = entry_matrix(grh)
     assert AlgMat.identity(grh, 2) * a == a
 
 
 def test_mat_mul_scalar_matrices_agree_with_scalmat():
-    grh = gr_h2()
+    grh = builtin_algebras()["GRh2"]
     s1 = ScalMat([[Q, H], [ZERO, ONE]])
     s2 = ScalMat([[ONE, F], [H, Q]])
     a1 = AlgMat(grh, [[grh.scalar(c) for c in row] for row in s1.rows])
@@ -158,7 +151,7 @@ def test_mat_mul_scalar_matrices_agree_with_scalmat():
 
 
 def test_rtt_identity_matrix_with_plus_sign_is_nonzero():
-    grq = gr_q2()
+    grq = builtin_algebras()["GRq2"]
     res = rtt_residual(ScalMat.identity(4), entry_matrix(grq), sign=1)
     assert not res.is_zero()
     # row (1,1), column (1,2): alpha'*beta' - beta'*alpha' -> (1+q) alpha'*beta'
@@ -167,9 +160,9 @@ def test_rtt_identity_matrix_with_plus_sign_is_nonzero():
 
 
 def test_rtt_residual_is_linear_in_r():
-    grq = gr_q2()
+    grq = builtin_algebras()["GRq2"]
     a = entry_matrix(grq)
-    r1, r2 = rq_matrix(), ScalMat.identity(4).scale(H)
+    r1, r2 = builtin_matrices()["Rq"], ScalMat.identity(4).scale(H)
     lhs = rtt_residual(r1 + r2, a, sign=-1)
     rhs = rtt_residual(r1, a, sign=-1) + rtt_residual(r2, a, sign=-1)
     assert lhs == rhs
@@ -180,19 +173,19 @@ def test_qybe_identity_is_zero():
 
 
 def test_qybe_rq_nonzero_rh_zero():
-    assert not qybe_residual(rq_matrix()).is_zero()
-    assert qybe_residual(rh_matrix()).is_zero()
+    assert not qybe_residual(builtin_matrices()["Rq"]).is_zero()
+    assert qybe_residual(builtin_matrices()["Rh"]).is_zero()
 
 
 def test_contracted_r_matrix_is_rh():
     gg = g_tensor_g()
-    rhq = similarity(gg, rq_matrix())
+    rhq = similarity(gg, builtin_matrices()["Rq"])
     half = Coeff.rational(1) / Coeff.rational(2)
-    assert rhq.limit_q1().scale(half) == rh_matrix()
+    assert rhq.limit_q1().scale(half) == builtin_matrices()["Rh"]
 
 
 def test_limit_commutes_with_identity_similarity():
-    r = rq_matrix()
+    r = builtin_matrices()["Rq"]
     assert similarity(ScalMat.identity(4), r).limit_q1() == r.limit_q1()
 
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhcontract.cli import Runner, Verdict, parse_expression, parse_script, report
+from qhcontract.grgroup import builtin_algebras
 from qhcontract.rewrite import orient
 
 RUNNER = Runner()
-ALGEBRAS = sorted(RUNNER.builtin_algebras)
+ALGEBRAS = sorted(builtin_algebras())
 
 SCALARS = ["2", "-3/2", "q", "h", "q^-1", "(q-1)^-1", "h/(q-1)^2", "(q - q^-1)"]
 DIVISORS = ["q", "(q-1)", "(2*q^2)", "(q-1)^2"]

@@ -9,13 +9,14 @@ from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, _b
                                 _reduce, _reduce_row, confluent_rules, orient)
 from qhcontract.superalgebra import AlgebraSpec, Element
 from qhcontract.contract import relation_span
-from qhcontract.grgroup import builtin_algebras, gr_h2, gr_q2, h_plane
+from qhcontract.grgroup import builtin_algebras
 
 from conftest import (
     brute_force_overlaps,
     demo_algebras,
     in_ideal_component,
     naive_fixpoint_reduce,
+    prelude,
     random_coeff,
     random_element,
     rescan_reduce,
@@ -27,7 +28,7 @@ H = Coeff.h()
 
 @pytest.fixture(scope="module")
 def grq():
-    return gr_q2()
+    return builtin_algebras()["GRq2"]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def rules_q(grq):
 
 @pytest.fixture(scope="module")
 def grh():
-    return gr_h2()
+    return builtin_algebras()["GRh2"]
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +100,7 @@ def test_orient_refuses_a_non_unit_minor(relations, leads):
 
 
 def test_orient_keeps_the_rules_on_the_algebra():
-    spec = h_plane()
+    spec, = prelude("hplane")
     rs = orient(spec)
     assert orient(spec) is rs
     assert confluent_rules(spec) is rs
@@ -170,7 +171,7 @@ def test_confluence_empty_for_builtin_systems(rules_q, rules_h):
 
 
 def test_confluence_of_commuting_plane():
-    spec = h_plane(h=Coeff.zero())
+    spec, = prelude("hplane", h="0")
     rs = orient(spec)
     assert list(rs.rules) == [tuple(spec.generator_named(n).gid for n in ("x", "y"))]
     assert brute_force_overlaps(rs, 4) == []
@@ -253,9 +254,9 @@ def _assert_rescan_strategy(monkeypatch, spec, rules, seed, samples, max_degree)
         assert steps == rescan_steps
 
 
-@pytest.mark.parametrize("build", [gr_q2, gr_h2, h_plane], ids=["GRq2", "GRh2", "hplane"])
-def test_normal_form_matches_rescan_reducer(monkeypatch, build):
-    spec = build()
+@pytest.mark.parametrize("name", ["GRq2", "GRh2", "hplane"])
+def test_normal_form_matches_rescan_reducer(monkeypatch, name):
+    spec = builtin_algebras()[name]
     _assert_rescan_strategy(monkeypatch, spec, orient(spec), f"rescan-{spec.name}", 60, 4)
 
 
@@ -367,7 +368,7 @@ def test_certificate_is_lazy(monkeypatch):
     pairs = RuleSystem._overlap_pairs
     monkeypatch.setattr(RuleSystem, "_overlap_pairs",
                         lambda self: calls.append(self) or pairs(self))
-    rs = orient(gr_h2())
+    rs = orient(*prelude("GRh2"))
     assert calls == []
     rs.unresolved_overlaps()
     rs.unresolved_overlaps()

@@ -16,6 +16,8 @@ from qhcontract.matalg import AlgMat
 from qhcontract.rewrite import NotConfluent, orient
 from qhcontract.superalgebra import AlgebraSpec, Element
 
+from conftest import prelude
+
 
 def _fraction_coeff(rng, q1_free=False):
     """The sampler as first written: a Fraction per term and both constructors."""
@@ -53,7 +55,7 @@ def test_random_element_keeps_its_draws():
     # randrange(n) draws getrandbits(n.bit_length()) until the value is below
     # n: on 4, 5, 8 and 9 generators 3, 3, 4 and 4 bits, rejecting 4 of 8,
     # 3 of 8, 8 of 16 and 7 of 16 values
-    specs = [grgroup.gr_q2(), grgroup.gr_h2(), grgroup.product_pair_algebra()] + [
+    specs = [grgroup.builtin_algebras()[name] for name in ("GRq2", "GRh2", "GRq2xGRq2")] + [
         AlgebraSpec.build(f"n{n}", [(f"g{i}", "even", "f", i) for i in range(n)]) for n in (5, 9)]
     new, old = random.Random(suite._SEED), random.Random(suite._SEED)
     for i in range(600):
@@ -106,7 +108,7 @@ def _cyclic():
 
 
 def test_residual_verdict_witness_counts_the_other_entries():
-    grh = grgroup.gr_h2()
+    grh = grgroup.builtin_algebras()["GRh2"]
     a, b = grh.gen_elements("alpha beta")
     zero = grh.zero()
     one = suite.residual_verdict("one", AlgMat(grh, [[zero, zero], [a, zero]]))
@@ -132,9 +134,9 @@ def test_multiply_and_nf_refuse_a_system_that_is_not_confluent():
     x, z = spec.gen_elements("x z")
     with pytest.raises(NotConfluent, match=r"^not confluent: y\*z\*x -> x\^3 \| y\^3 \(\+3 more\)$"):
         rs.multiply(z, x)
-    runner = Runner()
-    runner.builtin_algebras["cyc"] = spec
-    verdicts = runner.run(parse_script('nf cyc "z^3"'))
+    verdicts = Runner().run(parse_script(
+        "algebra cyc\n gen x\n gen y\n gen z\n rel x*y = z*z\n rel y*z = x*x\n"
+        'rel z*x = y*y\nend\nnf cyc "z^3"'))
     assert [(v.status, v.witness) for v in verdicts] == [
         ("error", "not confluent: y*z*x -> x^3 | y^3 (+3 more)")]
 
@@ -146,7 +148,7 @@ def test_multiply_and_nf_refuse_a_system_that_is_not_confluent():
 ])
 def test_script_commands_report_the_readers_parts(command, reader, algebra):
     runner = Runner()
-    parts = reader(runner.builtin_algebras[algebra])
+    parts = reader(grgroup.builtin_algebras()[algebra])
     if command == "covariance":
         expected = [parts._replace(command="covariance")]
     else:
@@ -157,22 +159,26 @@ def test_script_commands_report_the_readers_parts(command, reader, algebra):
 def _product_pair_with_a_wrong_second_copy():
     """The pair algebra with the second copy's names permuted in its
     relations: still confluent, but its product breaks four relations."""
-    base = grgroup.product_pair_algebra()
+    base = grgroup.builtin_algebras()["GRq2xGRq2"]
     spec = AlgebraSpec.build(
         base.name, [(g.name, g.parity, g.family, g.prec) for g in base.generators],
         {("first", "second"): -1},
     )
-    grgroup._add_gr_q_relations(spec, "alpha beta gamma delta")
-    grgroup._add_gr_q_relations(spec, "beta' alpha' delta' gamma'")
+    # the second copy's alpha', beta', gamma', delta' read as beta', alpha',
+    # delta', gamma'
+    swap = {4: 5, 5: 4, 6: 7, 7: 6}
+    for rel in base.relations:
+        spec.add_relation(Element(spec, {tuple(swap.get(g, g) for g in w): c
+                                         for w, c in rel.terms.items()}))
     return spec
 
 
 def test_covariance_with_a_wrong_h_is_falsified(monkeypatch):
     # equal ranks, different spans: span_equal alone decides
-    grh = grgroup.gr_h2(h=2 * Coeff.h())
+    grh, = prelude("GRh2", h="2*h")
     part = suite.Verdict("covariance", "falsified", "combined rank 10, target rank 10")
     assert suite.covariance_verdict(grh) == part
-    monkeypatch.setattr(grgroup, "gr_h2", lambda: grh)
+    monkeypatch.setitem(grgroup.builtin_algebras(), "GRh2", grh)
     v = suite.check_covariance()
     assert (v.status, v.witness, v.details) == (
         "falsified", "covariance: combined rank 10, target rank 10", ())
@@ -185,7 +191,7 @@ def test_covariance_needs_a_unit_minor_of_the_goal(monkeypatch):
     # span_equal reduces against, so the spans are eliminated once each
     import qhcontract.contract as contract
 
-    grh = grgroup.gr_h2()
+    grh, = prelude("GRh2")
     scaled = AlgebraSpec.build(grh.name, [(g.name, g.parity, g.family, g.prec)
                                           for g in grh.generators])
     for r in grh.relations:
@@ -210,7 +216,7 @@ def test_product_theorem_with_a_wrong_second_copy_is_falsified(monkeypatch):
     assert parts[-1] == suite.Verdict("entries are even", "verified")
     residuals = dict(grgroup.product_theorem(spec))
     assert all(v.witness == str(residuals[v.command]) for v in failed)
-    monkeypatch.setattr(grgroup, "product_pair_algebra", lambda: spec)
+    monkeypatch.setitem(grgroup.builtin_algebras(), "GRq2xGRq2", spec)
     v = suite.check_product_theorem()
     assert (v.status, v.details) == ("falsified", ())
     assert v.witness == "; ".join(f"{p.command}: {p.witness}" for p in failed)

@@ -5,9 +5,9 @@ import pytest
 from qhcontract.coeffring import Coeff
 from qhcontract.rewrite import orient
 from qhcontract.superalgebra import AlgebraSpec
-from qhcontract.grgroup import gr_h2, h_plane
+from qhcontract.grgroup import builtin_algebras
 
-from conftest import random_element
+from conftest import prelude, random_element
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ def test_scale(mixed):
 
 
 def test_free_mul_associative(rng):
-    spec = gr_h2()
+    spec = builtin_algebras()["GRh2"]
     for _ in range(200):
         a = random_element(rng, spec)
         b = random_element(rng, spec)
@@ -63,7 +63,7 @@ def test_free_mul_associative(rng):
 
 
 def test_canonical_printing_is_injective(rng):
-    spec = gr_h2()
+    spec = builtin_algebras()["GRh2"]
     for _ in range(200):
         a = random_element(rng, spec)
         b = random_element(rng, spec)
@@ -71,7 +71,7 @@ def test_canonical_printing_is_injective(rng):
 
 
 def test_words_stored_largest_first():
-    spec = h_plane()
+    spec = builtin_algebras()["hplane"]
     x, y = spec.gen_elements("x y")
     e = y * x + x * y + y * y
     keys = list(e.terms)
@@ -79,8 +79,8 @@ def test_words_stored_largest_first():
 
 
 def test_rejects_mixed_algebras():
-    a = gr_h2()
-    b = gr_h2()
+    a = builtin_algebras()["GRh2"]
+    b, = prelude("GRh2")
     with pytest.raises(ValueError):
         a.gen_element("alpha") + b.gen_element("alpha")
 
@@ -105,7 +105,7 @@ def test_precedence_must_be_permutation():
 
 def test_word_key_is_length_then_precedences():
     rng = random.Random("word-key")
-    for spec in (gr_h2(), h_plane(), AlgebraSpec.build(
+    for spec in (builtin_algebras()["GRh2"], builtin_algebras()["hplane"], AlgebraSpec.build(
             "reversed", [(f"g{i}", "even", "f", 4 - i) for i in range(5)])):
         prec = [g.prec for g in spec.generators]
         for _ in range(300):
@@ -131,11 +131,11 @@ def _signed_element(rng, spec, max_terms=4):
     return out
 
 
-@pytest.mark.parametrize("build", [gr_h2, h_plane], ids=["GRh2", "hplane"])
-def test_results_have_no_zero_and_are_sorted(build):
+@pytest.mark.parametrize("name", ["GRh2", "hplane"])
+def test_results_have_no_zero_and_are_sorted(name):
     # free_mul, +, - and normal_form delete the sums that cancel and only
     # sort; scale and negation keep their input's order
-    spec = build()
+    spec = builtin_algebras()[name]
     rules = orient(spec)
     rng = random.Random(f"stored-{spec.name}")
     products_cancelled = sums_cancelled = 0

@@ -13,12 +13,10 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import round_loop_limit, wrong_dual_plane_substitution
+from conftest import prelude, round_loop_limit, wrong_dual_plane_substitution
 from qhcontract.coeffring import Coeff, NotDivisible, QHPoly
 from qhcontract.contract import RelationSpan, limit_span, relation_span, span_equal
-from qhcontract.grgroup import (builtin_algebras, dual_plane_substitution, gr_h2, gr_q2,
-                                h_dual_plane, h_plane, plane_substitution, q_dual_plane,
-                                q_plane, q_to_h_substitution)
+from qhcontract.grgroup import builtin_algebras, builtin_matrices, conjugation
 from qhcontract.matalg import NotInvertible, ScalMat
 from qhcontract.rewrite import OrientationFailure, _bareiss, orient
 
@@ -280,7 +278,7 @@ def test_orient_gives_the_reduced_echelon_form_of_the_relations(name):
 
 def with_relations(name, combine):
     """A fresh copy of a builtin whose relations are ``combine(relations)``."""
-    spec = builtin_algebras()[name]
+    spec, = prelude(name)
     relations = list(spec.relations)
     spec.relations.clear()
     for r in combine(relations):
@@ -345,6 +343,12 @@ def checked_limit(sp):
     return lim
 
 
+def by_g(source, target):
+    """The builtin g's change of basis between two builtin algebras."""
+    algebras = builtin_algebras()
+    return conjugation(builtin_matrices()["g"], algebras[source], algebras[target])
+
+
 def hits_target(sub, lim):
     return span_equal(lim, relation_span(sub.target.relations, sub.target))
 
@@ -352,9 +356,9 @@ def hits_target(sub, lim):
 @pytest.mark.parametrize("case", ["plane", "dual plane", "GRq2 -> GRh2", "wrong dual plane"])
 def test_limit_span_of_the_paper_contractions(case):
     sub = {
-        "plane": lambda: plane_substitution(q_plane(), h_plane()),
-        "dual plane": lambda: dual_plane_substitution(q_dual_plane(), h_dual_plane()),
-        "GRq2 -> GRh2": lambda: q_to_h_substitution(gr_q2(), gr_h2()),
+        "plane": lambda: by_g("qplane", "hplane"),
+        "dual plane": lambda: by_g("qdualplane", "hdualplane"),
+        "GRq2 -> GRh2": lambda: by_g("GRq2", "GRh2"),
         "wrong dual plane": wrong_dual_plane_substitution,
     }[case]()
     assert hits_target(sub, checked_limit(substituted(sub))) == (case != "wrong dual plane")
@@ -363,7 +367,7 @@ def test_limit_span_of_the_paper_contractions(case):
 def test_limit_span_of_seeded_contractions():
     # GRq2 onto GRh2 with h -> c*h, as the contract-sweep benchmark draws
     # them; every fifth substitution takes another c and must miss
-    grq = gr_q2()
+    grq = builtin_algebras()["GRq2"]
     for i in range(40):
         rng = random.Random(f"limit {i}")
         draw = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
@@ -371,15 +375,16 @@ def test_limit_span_of_seeded_contractions():
         control = i % 5 == 4
         while control and c_subst == c_target:
             c_subst = draw()
-        sub = q_to_h_substitution(grq, gr_h2(h=Coeff.rational(c_target) * Hc),
-                                  h=Coeff.rational(c_subst) * Hc)
+        grh, = prelude("GRh2", h=f"{c_target}*h")
+        g, = prelude("g", h=f"{c_subst}*h")
+        sub = conjugation(g, grq, grh)
         assert hits_target(sub, checked_limit(substituted(sub))) != control
 
 
 @pytest.mark.parametrize("case", ["duplicate", "times q-1", "sum of two",
                                   "times q+1 after 0", "times q+1 after 4", "times q+1 after 9"])
 def test_limit_span_drops_dependent_rows(case):
-    sub = q_to_h_substitution(gr_q2(), gr_h2())
+    sub = by_g("GRq2", "GRh2")
     rows = substituted(sub).rows
 
     def times_q_plus_1_after(k):
