@@ -13,7 +13,7 @@ which reads as any script does.  It is parsed on first use, at most once
 per process, by :func:`~qhcontract.script.define_algebra` and
 :func:`~qhcontract.script.define_matrix`, the evaluation that
 :class:`~qhcontract.cli.Runner` runs for scripts, and every caller shares
-the objects, so a builtin's rule system and its table of products also
+the objects, so a builtin's rule system and its table of normal forms also
 live for the whole process.  :func:`conjugation` is the one change of
 basis: it gives the contraction maps of criteria 1 to 3 and the way back
 of criterion 12.

@@ -58,16 +58,17 @@ class Matrix:
         return self._new([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
-        """Row-by-column product; the entries keep their order."""
+        """Row-by-column product over the nonzero entries, in index order."""
         self._check(other)
-        cols = list(zip(*other.rows))
+        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
         out = []
         for row in self.rows:
             new = []
             for col in cols:
                 s = self._zero()
-                for a, b in zip(row, col):
-                    s = s + a * b
+                for k, b in col:
+                    if a := row[k]:
+                        s = s + a * b
                 new.append(s)
             out.append(new)
         return self._new(out)

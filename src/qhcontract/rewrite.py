@@ -15,19 +15,18 @@ Every rhs word is smaller than its lhs, so reduction terminates.
 Cross-family swap rules u*v -> sign * v*u are added for every pair of
 generators from distinct families with a declared sign.
 
-Normal forms rewrite the largest reducible word at its first redex until
-no word is reducible.  The reducible words wait in a heap ordered by
-``AlgebraSpec.word_key``, each with its first redex found once when it
-appears, so no step rescans the terms.  The strategy and every normal form
-are those of rescanning all terms before each step, also on systems that
-are not confluent, where the strategy decides the result.
+Normal forms are linear: rewriting a word of an element at its first redex,
+whatever its coefficient and in whatever order, keeps the sum of
+c_w * N(w) over its terms, with N(w) the normal form of the word w alone,
+so that sum is the normal form, also on systems that are not confluent,
+where the choice of the first redex decides the result.
+:meth:`RuleSystem.normal_form` reads each N(w) from one table kept on the
+rule system, which :meth:`RuleSystem._word_nf` fills for the words asked.
 
 Products of normal elements, on a certified confluent system, go through
-:meth:`RuleSystem.multiply`: a normal word times a letter has a redex only
-at the junction, and the normal form of each such product that is not
-already normal is a structure constant of the normal-word basis, computed
-once by :meth:`RuleSystem.normal_form` and kept in a table on the rule
-system.
+:meth:`RuleSystem.multiply`: a normal word u times a letter g has a redex
+only at the junction, and N(u*g) is read from the same table, a structure
+constant of the normal-word basis.
 
 Confluence is decided once, on first use, by Bergman's diamond lemma:
 every rule is quadratic and the word order is degree-lexicographic, so the
@@ -41,13 +40,12 @@ unique normal forms, through :func:`confluent_rules` or ``multiply``.
 The rule system belongs to its algebra: :func:`orient` builds it on the
 first call and keeps it on the :class:`AlgebraSpec`, whose relations are
 frozen from then on, so every caller reduces with the same rules, and the
-table of ``multiply`` lives as long as the algebra.
+table of normal forms lives as long as the algebra.
 """
 
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
@@ -73,18 +71,19 @@ class OverlapWitness(NamedTuple):
         return f"{alg.word_str(self.word)} -> {self.nf_a} | {self.nf_b}"
 
 
+# a normal word's coefficient in its own entry; no product with it is formed
+_ONE = Coeff.one()
+
+
 class RuleSystem:
-    """Oriented rules of one algebra: a map from 2-letter words to elements."""
+    """Oriented rules of one algebra: 2-letter words to elements of such words."""
 
     def __init__(self, ambient: AlgebraSpec, rules):
         self.ambient = ambient
         self.rules = dict(rules)
-        # word_key negated, (-len(w), [-prec of each letter]), so that the
-        # min-heap of normal_form pops the largest word first
-        self._down = [-g.prec for g in ambient.generators]
         self._overlaps = None
-        # (normal word u, letter g) -> the terms of normal_form(u*g), for
-        # u[-1]*g a lhs; filled by multiply
+        # word w -> the terms of N(w), for the words that normal_form and
+        # multiply were asked to reduce
         self._table = {}
 
     def _overlap_pairs(self):
@@ -141,28 +140,64 @@ class RuleSystem:
         if overlaps:
             raise NotConfluent(f"not confluent: {overlap_summary(overlaps)}")
 
-    def _fill(self, u, g) -> dict:
-        """The terms of ``normal_form(u*g)``, kept in the table with those of
-        every longer suffix of ``u`` times g.
+    def _word_nf(self, w, scratch) -> dict:
+        """The terms of N(w), read from the table, else derived and kept.
 
-        Each entry is the :meth:`normal_form` of an element equal to its
-        product in the quotient: the last letter times g, or the first
-        letter of a suffix times the kept entry of the suffix one letter
-        shorter.  The second needs few steps when that letter goes in
-        front of the entry's words without a rewrite, as it does in a
-        normal word; the first would move g through the whole word.
+        N(w) is w when w is normal.  When w's first redex ends the word, N(w)
+        is the sum of c * N(w[:-2] + mid) over the terms c * mid of the
+        rule.  Otherwise the first redex lies in w[:-1], and so does that of
+        every word its rewriting makes, with the last letter g carried
+        along, so N(w) is the sum of d * N(z + g) over the terms d * z of
+        N(w[:-1]).  Each word met is a prefix of w or a normal word followed
+        by one or two letters, whose first redex follows from where it came
+        from; none is one of the words in between that rewriting one redex
+        at a time makes, of which x^k*y in ``hplane`` has 2^(k+1).  The
+        derivation runs on a stack, so no word is too long for it.  The
+        table keeps w only; the reducible words met go to ``scratch``, which
+        the caller keeps for one call, each when its terms are complete.
         """
-        table, spec = self._table, self.ambient
-        i = next((i for i in range(1, len(u)) if (u[i:], g) in table), None)
-        if i is None:
-            i = len(u) - 1
-            table[u[i:], g] = self.normal_form(spec.word_element(u[i:] + (g,))).terms
-        for j in reversed(range(i)):
-            head = u[j : j + 1]
-            shorter = table[u[j + 1 :], g]
-            table[u[j:], g] = self.normal_form(
-                from_nonzero_terms(spec, {head + w: c for w, c in shorter.items()})).terms
-        return table[u, g]
+        table, rules = self._table, self.rules
+        if w in table:
+            return table[w]
+        # (word, its first redex, its parts once known: each a word, its
+        # coefficient and its first redex or None)
+        stack = [(w, next((i for i in range(len(w) - 1) if w[i : i + 2] in rules), None), None)]
+        while stack:
+            v, i, parts = stack[-1]
+            if v in scratch:
+                stack.pop()
+            elif i is None:  # w itself, normal
+                scratch[v] = {v: _ONE}
+            elif parts is None:
+                # v[:i] and every word of N(v[:-1]) are normal, and rules have
+                # 2-letter words, so each part's first redex follows from i
+                if i == len(v) - 2:
+                    pre = v[:i]
+                    parts = [(pre + mid, c, i - 1 if i and (pre[-1], mid[0]) in rules
+                              else i if mid in rules else None)
+                             for mid, c in rules[v[i:]].terms.items()]
+                else:
+                    head = table.get(v[:-1], scratch.get(v[:-1]))
+                    if head is None:
+                        stack.append((v[:-1], i, None))
+                        continue
+                    g = v[-1]
+                    parts = [(z + (g,), d, len(z) - 1 if z and (z[-1], g) in rules else None)
+                             for z, d in head.items()]
+                stack[-1] = v, i, parts
+                stack += [(x, j, None) for x, _, j in parts
+                          if j is not None and x not in table and x not in scratch]
+            else:
+                acc = {}
+                for x, c, j in parts:
+                    if j is None:
+                        _accumulate(acc, x, c)
+                    else:
+                        for y, c2 in table.get(x, scratch.get(x)).items():
+                            _accumulate(acc, y, c if c2 is _ONE else c * c2)
+                scratch[v] = acc
+        entry = table[w] = scratch.pop(w)
+        return entry
 
     def degree2_normal_words(self):
         return [w for w in self.ambient.degree2_words() if w not in self.rules]
@@ -175,31 +210,25 @@ class RuleSystem:
         A normal word u times a normal word ``v[k:]`` has a redex only at
         the junction, since every left-hand side has length 2: if
         ``(u[-1], g)`` is no left-hand side, ``u*v[k:]`` is normal and
-        done; otherwise the normal form of ``u*g`` is read from a table
-        kept on the rule system, computed by :meth:`normal_form` on the
-        first miss, and each of its words goes on with the next letter.
-        Confluence makes the normal form linear and
+        done; otherwise each word of N(u*g), from the table of
+        :meth:`normal_form`, goes on with the next letter.  Confluence makes
         ``nf(x * g) = nf(nf(x) * g)``, so the sum is the normal form of the
-        product, and each entry is a structure constant of the normal-word
-        basis that never goes stale.  The table holds at most one entry per
-        normal word and generator, up to the largest degree multiplied.
+        product, and each entry is a structure constant of the normal words.
         """
         self.require_confluent()
         if a.algebra is not self.ambient or b.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
-        rules, table = self.rules, self._table
-        out = {}
+        rules, table, word_nf = self.rules, self._table, self._word_nf
+        scratch, out = {}, {}
         for v, cv in b.terms.items():
             cur = {u: c * cv for u, c in a.terms.items()}
             for k, g in enumerate(v):
                 nxt = {}
                 for u, c in cur.items():
                     if u and (u[-1], g) in rules:
-                        entry = table.get((u, g))
-                        if entry is None:
-                            entry = self._fill(u, g)
-                        for w, c2 in entry.items():
-                            _accumulate(nxt, w, c * c2)
+                        ug = u + (g,)
+                        for w, c2 in (table.get(ug) or word_nf(ug, scratch)).items():
+                            _accumulate(nxt, w, c if c2 is _ONE else c * c2)
                     else:
                         _accumulate(out, u + v[k:], c)
                 cur = nxt
@@ -208,59 +237,21 @@ class RuleSystem:
         return from_nonzero_terms(self.ambient, out)
 
     def normal_form(self, e: Element) -> Element:
-        """Reduce until no word contains a rule lhs.
-
-        Strategy: rewrite the first reducible factor of the largest reducible
-        word.  Termination is guaranteed because every rhs word is strictly
-        smaller than its lhs in the multiplication-compatible word order.
-
-        The reducible words wait in a heap, largest first in the order of
-        :meth:`AlgebraSpec.word_key`, each with its first redex, found once
-        when the word enters the terms.  A step only produces words smaller
-        than the word it rewrites, which is the largest reducible word
-        present, so a popped word never comes back; an entry whose word has
-        cancelled meanwhile is skipped.  The steps, their coefficient
-        products and the result are therefore those of rescanning every
-        term for the largest reducible word before each step.
-
-        The input's coefficients are nonzero, each new word gets a product
-        of two nonzero scalars and each sum that cancels is deleted, so the
-        result is built without a zero scan and only sorted.
+        """Reduce until no word contains a rule lhs: the sum of c_w * N(w)
+        over the terms of ``e``, with each N(w) from :meth:`_word_nf`, on
+        any rule system what rewriting the first redex of the largest
+        reducible word gives, rescanning every term before each step.  Each
+        new word gets a product of two nonzero scalars and each sum that
+        cancels is deleted, so the result needs no zero scan, only a sort.
         """
         if e.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
-        rules = self.rules
-        down = self._down.__getitem__
-        terms = dict(e.terms)
-        heap = []
-
-        def push(w):
-            for i in range(len(w) - 1):
-                if w[i : i + 2] in rules:
-                    heappush(heap, (-len(w), list(map(down, w)), w, i))
-                    return
-
-        for w in terms:
-            push(w)
-        while heap:
-            _len, _key, w, i = heappop(heap)
-            c = terms.pop(w, None)
-            if c is None:
-                continue
-            pre, post = w[:i], w[i + 2 :]
-            for mid, c2 in rules[w[i : i + 2]].terms.items():
-                v = pre + mid + post
-                old = terms.get(v)
-                if old is None:
-                    terms[v] = c * c2
-                    push(v)
-                else:
-                    s = old + c * c2
-                    if s:
-                        terms[v] = s
-                    else:
-                        del terms[v]
-        return from_nonzero_terms(self.ambient, terms)
+        table, word_nf = self._table, self._word_nf
+        scratch, out = {}, {}
+        for w, c in e.terms.items():
+            for v, c2 in (table.get(w) or word_nf(w, scratch)).items():
+                _accumulate(out, v, c if c2 is _ONE else c * c2)
+        return from_nonzero_terms(self.ambient, out)
 
 
 def _accumulate(terms, w, c) -> None:

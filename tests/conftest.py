@@ -138,11 +138,12 @@ def brute_force_overlaps(rs, degree_bound: int):
 
 
 def rescan_reduce(e: Element, rs) -> Element:
-    """Reference reducer with the strategy of RuleSystem.normal_form.
+    """Reference reducer with the redex choice of RuleSystem.normal_form.
 
     Before every step it rescans all terms for the largest reducible word and
-    rewrites that word at its first redex, which normal_form does from a
-    heap.  Unlike naive_fixpoint_reduce it must agree with normal_form on
+    rewrites that word at its first redex, one step on the whole element,
+    where normal_form sums the normal forms of the words alone, kept in a
+    table.  Unlike naive_fixpoint_reduce it must agree with normal_form on
     non-confluent systems too.
     """
     key = rs.ambient.word_key

@@ -17,7 +17,7 @@ from qhcontract.cli import (
 from qhcontract import grgroup
 from qhcontract.grgroup import builtin_algebras
 from qhcontract.matalg import ScalMat
-from qhcontract.rewrite import RuleSystem
+from qhcontract.rewrite import orient
 from qhcontract.script import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from conftest import random_coeff, random_element
@@ -534,18 +534,20 @@ def test_each_run_is_one_script():
 
 def test_a_repeated_nf_reads_every_product_from_the_table(monkeypatch):
     monkeypatch.setattr(grgroup, "_builtins", None)  # builtins with empty tables
-    calls = []
-    normal_form = RuleSystem.normal_form
-    monkeypatch.setattr(RuleSystem, "normal_form",
-                        lambda self, e: calls.append(e) or normal_form(self, e))
+    systems = [orient(builtin_algebras()[name]) for name in ("hplane", "GRh2")]
+    for rs in systems:
+        rs.require_confluent()  # which nf certifies first
+    before = [len(rs._table) for rs in systems]
     runner = Runner()
     script = parse_script('nf hplane "(x + h*y)^7*(2*x - q*y)"\n'
                           'nf GRh2 "(alpha + beta)*(q*gamma + h*delta)*(alpha - delta)"\n')
     first = runner.run(script)
-    assert calls
-    calls.clear()
+    filled = [len(rs._table) for rs in systems]
+    # GRh2's products of degree 3, a right-hand word times a letter, were
+    # all reduced by the certificate already; hplane's degree-8 ones are new
+    assert filled[0] > before[0] and filled[1] == before[1]
     assert runner.run(script) == first
-    assert calls == []
+    assert [len(rs._table) for rs in systems] == filled
 
 
 NF = ["nf", "--algebra", "{path}", "--expr", "x"]

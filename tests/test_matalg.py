@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from qhcontract.matalg import (
     similarity,
 )
 from qhcontract.grgroup import builtin_algebras, builtin_matrices, entry_matrix
+
+from conftest import random_coeff, random_element
 
 Q = Coeff.q()
 H = Coeff.h()
@@ -135,6 +138,31 @@ def test_mat_mul_identity():
     grh = builtin_algebras()["GRh2"]
     a = entry_matrix(grh)
     assert AlgMat.identity(grh, 2) * a == a
+
+
+@pytest.mark.parametrize("kind", ["scalar", "algebra"])
+def test_mat_mul_over_nonzero_entries_gives_every_dense_sum(kind):
+    # half the entries zero, on both sides: each entry must equal, by == and
+    # by its printed text, the sum of all n products in index order
+    rng = random.Random(f"sparse-mul-{kind}")
+    grh = builtin_algebras()["GRh2"]
+    for _ in range(10):
+        if kind == "scalar":
+            a, b = (ScalMat([[random_coeff(rng) if rng.random() < 0.5 else ZERO
+                              for _ in range(4)] for _ in range(4)]) for _ in range(2))
+            zero = ZERO
+        else:
+            a, b = (AlgMat(grh, [[random_element(rng, grh, max_degree=1) if rng.random() < 0.5
+                                  else grh.zero() for _ in range(3)] for _ in range(3)])
+                    for _ in range(2))
+            zero = grh.zero()
+        prod = a * b
+        for i, j in itertools.product(range(a.n), repeat=2):
+            dense = zero
+            for k in range(a.n):
+                dense = dense + a.rows[i][k] * b.rows[k][j]
+            assert prod.rows[i][j] == dense
+            assert str(prod.rows[i][j]) == str(dense)
 
 
 def test_mat_mul_scalar_matrices_agree_with_scalmat():

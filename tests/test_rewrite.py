@@ -218,62 +218,87 @@ def test_normal_form_matches_naive_reducer(rng, grh, rules_h):
         assert rules_h.normal_form(e) == naive_fixpoint_reduce(e, rules_h)
 
 
-def _with_products(monkeypatch, reduce, e, rules):
-    """reduce(e, rules) and the Coeff products it made, in order.
-
-    A rewrite step multiplies the coefficient of the word it rewrites into
-    each rhs coefficient, so equal logs mean the same steps in the same
-    order: the result alone does not show the order in which words are
-    rewritten, since each word's first redex is fixed.
-    """
-    log = []
-    mul = Coeff.__mul__
-
-    def logged(a, b):
-        log.append((str(a), str(b)))
-        return mul(a, b)
-
-    with monkeypatch.context() as m:
-        m.setattr(Coeff, "__mul__", logged)
-        out = reduce(e, rules)
-    return out, log
-
-
-def _normal_form(e, rules):
-    return rules.normal_form(e)
-
-
-def _assert_rescan_strategy(monkeypatch, spec, rules, seed, samples, max_degree):
+def _assert_rescan_strategy(spec, rules, seed, samples, max_degree):
     rng = random.Random(seed)
     for _ in range(samples):
         e = random_element(rng, spec, max_degree=max_degree, max_terms=6)
-        got, steps = _with_products(monkeypatch, _normal_form, e, rules)
-        want, rescan_steps = _with_products(monkeypatch, rescan_reduce, e, rules)
+        got, want = rules.normal_form(e), rescan_reduce(e, rules)
         assert got == want
         assert str(got) == str(want)
-        assert steps == rescan_steps
+
+
+def _assert_entries_rescan(rules):
+    """Every entry of the table is the reference reduction of its word."""
+    spec = rules.ambient
+    assert rules._table
+    for w, terms in rules._table.items():
+        assert Element(spec, terms) == rescan_reduce(spec.word_element(w), rules), w
 
 
 @pytest.mark.parametrize("name", ["GRq2", "GRh2", "hplane"])
-def test_normal_form_matches_rescan_reducer(monkeypatch, name):
+def test_normal_form_matches_rescan_reducer(name):
     spec = builtin_algebras()[name]
-    _assert_rescan_strategy(monkeypatch, spec, orient(spec), f"rescan-{spec.name}", 60, 4)
+    _assert_rescan_strategy(spec, orient(spec), f"rescan-{spec.name}", 60, 4)
 
 
-def test_normal_form_follows_rescan_strategy_on_non_confluent_system(monkeypatch):
+@pytest.mark.parametrize("name", ["GRq2", "GRh2", "hplane"])
+def test_every_table_entry_is_the_rescan_reduction_of_its_word(name):
+    # fresh copies, so the table holds only what this test asked for: the
+    # words of the samples, the relations' words and the junction products
+    # of multiply
+    spec, = prelude(name)
+    rules = orient(spec)
+    _assert_rescan_strategy(spec, rules, f"rescan-{spec.name}", 60, 4)
+    rng = random.Random(f"entries-{name}")
+    for _ in range(20):
+        a, b = (rules.normal_form(random_element(rng, spec, max_degree=3)) for _ in range(2))
+        rules.multiply(a, b)
+    _assert_entries_rescan(rules)
+
+
+def test_normal_form_follows_rescan_strategy_on_non_confluent_system():
     # x*y = z^2, y*z = x^2, z*x = y^2 orient to z*z -> x*y, y*z -> x*x,
     # z*x -> y*y; z^3 reduces to x^3 from its first redex, y^3 from its last
-    spec = AlgebraSpec.build(
-        "cyclic", [("x", "even", "f", 0), ("y", "even", "f", 1), ("z", "even", "f", 2)]
-    )
-    x, y, z = spec.gen_elements("x y z")
-    for lhs, rhs in ((x * y, z * z), (y * z, x * x), (z * x, y * y)):
-        spec.add_relation(lhs - rhs)
+    spec = _cyclic()
     rules = orient(spec)
     assert brute_force_overlaps(rules, 3)
+    x, y, z = spec.gen_elements("x y z")
     assert rules.normal_form(z * z * z) == x * x * x
     assert naive_fixpoint_reduce(z * z * z, rules) == y * y * y
-    _assert_rescan_strategy(monkeypatch, spec, rules, "rescan-cyclic", 200, 6)
+    _assert_rescan_strategy(spec, rules, "rescan-cyclic", 200, 6)
+    _assert_entries_rescan(rules)
+
+
+def test_normal_form_follows_rescan_strategy_where_a_rule_makes_a_redex():
+    # p*p -> r*s, and r*s is itself a left-hand side (a swap across the
+    # families); in t*p*p -> t*r*s the first redex is t*r, not r*s, and the
+    # two give opposite signs: -s^2*r from t*r, s^2*r from r*s
+    spec = AlgebraSpec.build("swaps", [("s", "odd", "G", 0), ("r", "odd", "F", 1),
+                                       ("t", "odd", "F", 2), ("p", "odd", "F", 3)],
+                             {("F", "G"): -1})
+    s, r, t, p = spec.gen_elements("s r t p")
+    spec.add_relation(t * r - s * r)
+    spec.add_relation(p * p - r * s)
+    rules = orient(spec)
+    assert rules.rules[_w(spec, "p", "p")] == r * s and _w(spec, "r", "s") in rules.rules
+    assert rules.normal_form(t * p * p) == -(s * s * r)
+    _assert_rescan_strategy(spec, rules, "rescan-swaps", 100, 5)
+    _assert_entries_rescan(rules)
+
+
+def test_rescan_reduction_is_linear_on_a_non_confluent_system():
+    # the premise of reducing each word alone: where the choice of redex
+    # decides the result, the reference reduction of a sum is still the sum
+    # of the reductions of its words, times their coefficients
+    spec = _cyclic()
+    rules = orient(spec)
+    rng = random.Random("linear-cyclic")
+    for _ in range(100):
+        e = random_element(rng, spec, max_degree=6, max_terms=6)
+        parts = spec.zero()
+        for w, c in e.terms.items():
+            parts = parts + rescan_reduce(spec.word_element(w), rules) * c
+        assert rescan_reduce(e, rules) == parts
 
 
 def _cyclic():
