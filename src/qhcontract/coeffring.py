@@ -27,6 +27,12 @@ nor a zero filter.  A failing division by (q-1) is told apart by its
 column sums before any quotient is built: (q-1) divides p exactly when
 p(1, h) = 0, that is when the coefficients of every power of h sum to 0.
 
+A sum of many products, as a normal form of a product collects them for
+each of its words, is made canonical once: ``_sum_of_products`` for
+polynomials and ``_sum_of_coeff_products`` for scalars sum every product
+term by term in one int dict over a common denominator, and reduce only
+the sum.
+
 All values are immutable after construction and every operation returns a
 canonical form, so equality is plain structural comparison.
 """
@@ -703,6 +709,40 @@ def _wrap_coeff(num: QHPoly, qpow: int, q1pow: int) -> Coeff:
     c.qpow = qpow
     c.q1pow = q1pow
     return c
+
+
+def _sum_of_coeff_products(pairs) -> Coeff:
+    """The sum of x * y over the Coeff pairs ``(x, y)``, in canonical form.
+
+    Each product is lifted to the common denominator q^M (q-1)^K, with M
+    and K the largest exponents among the products, and to the lcm of
+    their rational denominators: the factor with fewer terms is shifted by
+    the product's missing power of q and convolved with its missing power
+    of (q-1).  The products are summed term by term in one int dict, so
+    neither a product nor a partial sum is made canonical; one
+    ``_reduced``, one ``_cancel_q`` and one ``_cancel_q1`` make the sum so.
+    """
+    m = max(x.qpow + y.qpow for x, y in pairs)
+    k = max(x.q1pow + y.q1pow for x, y in pairs)
+    den = lcm(*(x.num.den * y.num.den for x, y in pairs))
+    out = {}
+    for x, y in pairs:
+        xt, yt = x.num.terms, y.num.terms
+        if len(xt) > len(yt):
+            xt, yt = yt, xt
+        if t := k - x.q1pow - y.q1pow:
+            xt = _convolve(xt, _q1_power(t).terms)
+        if s := m - x.qpow - y.qpow:
+            xt = {(a + s, b): c for (a, b), c in xt.items()}
+        _add_products(out, xt, yt, den // (x.num.den * y.num.den))
+    num = _reduced(out, den)
+    if not num.terms:
+        return Coeff.zero()
+    if m:
+        num, m = _cancel_q(num, m)
+    if k:
+        num, k = _cancel_q1(num, k)
+    return _wrap_coeff(num, m, k)
 
 
 def coeff(x) -> Coeff:

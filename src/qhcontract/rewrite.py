@@ -26,7 +26,10 @@ rule system, which :meth:`RuleSystem._word_nf` fills for the words asked.
 Products of normal elements, on a certified confluent system, go through
 :meth:`RuleSystem.multiply`: a normal word u times a letter g has a redex
 only at the junction, and N(u*g) is read from the same table, a structure
-constant of the normal-word basis.
+constant of the normal-word basis.  ``multiply`` keeps every contribution
+to a word of the product as a pair of scalars and sums each word's
+products once, in one term dict; ``normal_form`` and ``_word_nf`` add
+their products one at a time, since their terms meet on fewer words.
 
 Confluence is decided once, on first use, by Bergman's diamond lemma:
 every rule is quadratic and the word order is degree-lexicographic, so the
@@ -49,7 +52,7 @@ import itertools
 from math import lcm
 from typing import NamedTuple
 
-from .coeffring import Coeff, NotAUnit, QHPoly, _add_products, _reduced
+from .coeffring import Coeff, NotAUnit, QHPoly, _add_products, _reduced, _sum_of_coeff_products
 from .superalgebra import AlgebraSpec, Element, from_nonzero_terms
 
 
@@ -214,26 +217,53 @@ class RuleSystem:
         :meth:`normal_form`, goes on with the next letter.  Confluence makes
         ``nf(x * g) = nf(nf(x) * g)``, so the sum is the normal form of the
         product, and each entry is a structure constant of the normal words.
+
+        Each contribution to a word of the result is kept as a pair (x, y)
+        of scalars with product x * y: x is the coefficient of u, and y
+        that of v, times the entry's coefficient where the last letter
+        meets a redex; after the first letter of v, v's coefficient is in
+        x already and y is 1.  The pairs of each word are summed once, in
+        one term dict, by :func:`~qhcontract.coeffring._sum_of_coeff_products`,
+        and a word with one pair takes the plain product.  The words in
+        between, of a v with more than one letter, keep canonical
+        coefficients, because they are multiplied again.
         """
         self.require_confluent()
         if a.algebra is not self.ambient or b.algebra is not self.ambient:
             raise ValueError("element belongs to a different algebra")
         rules, table, word_nf = self.rules, self._table, self._word_nf
-        scratch, out = {}, {}
+        # word -> the (x, y) pairs whose products x * y sum to its coefficient
+        scratch, pairs = {}, {}
         for v, cv in b.terms.items():
-            cur = {u: c * cv for u, c in a.terms.items()}
+            # each word u of cur has the coefficient c * y
+            cur, y, last = a.terms, cv, len(v) - 1
             for k, g in enumerate(v):
                 nxt = {}
                 for u, c in cur.items():
                     if u and (u[-1], g) in rules:
                         ug = u + (g,)
-                        for w, c2 in (table.get(ug) or word_nf(ug, scratch)).items():
-                            _accumulate(nxt, w, c if c2 is _ONE else c * c2)
+                        entry = table.get(ug) or word_nf(ug, scratch)
+                        if k == last:
+                            for w, c2 in entry.items():
+                                _append(pairs, w, (c, c2 if y is _ONE else y * c2))
+                        else:
+                            if y is not _ONE:
+                                c = c * y
+                            for w, c2 in entry.items():
+                                _accumulate(nxt, w, c if c2 is _ONE else c * c2)
                     else:
-                        _accumulate(out, u + v[k:], c)
-                cur = nxt
-            for w, c in cur.items():
-                _accumulate(out, w, c)
+                        _append(pairs, u + v[k:], (c, y))
+                cur, y = nxt, _ONE
+            for u, c in cur.items():  # v is the empty word
+                _append(pairs, u, (c, y))
+        out = {}
+        for w, ps in pairs.items():
+            if len(ps) > 1:
+                if c := _sum_of_coeff_products(ps):
+                    out[w] = c
+            else:
+                (x, y), = ps
+                out[w] = x if y is _ONE else x * y
         return from_nonzero_terms(self.ambient, out)
 
     def normal_form(self, e: Element) -> Element:
@@ -266,6 +296,15 @@ def _accumulate(terms, w, c) -> None:
             terms[w] = s
         else:
             del terms[w]
+
+
+def _append(pairs, w, p) -> None:
+    """Append ``p`` to the list of ``w`` in ``pairs``, starting it if new."""
+    ps = pairs.get(w)
+    if ps is None:
+        pairs[w] = [p]
+    else:
+        ps.append(p)
 
 
 def orient(spec: AlgebraSpec) -> RuleSystem:

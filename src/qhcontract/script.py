@@ -17,11 +17,18 @@ nest at most ``MAX_NESTING`` deep; deeper input is a ``ParseError`` with
 its line and column, not a crash of the recursive-descent parser.
 Exponents are bounded by ``MAX_EXPONENT`` in absolute value the same way,
 and ``e^n`` is computed by square-and-multiply.  Integer literals have at
-most ``MAX_LITERAL_DIGITS`` digits.
+most ``MAX_LITERAL_DIGITS`` digits.  An error at the end of the input names
+the column after its last character.
 
-An expression evaluates in the free algebra, or, given a confluent rule
-system, in its quotient: each product, that of ``*`` and every step of
-``^``, is the normal form of the product of its normal factors, from
+Scalars fold in the coefficient ring: a value stays a
+:class:`~qhcontract.coeffring.Coeff` until a generator enters it, so
+literals, ``q``, ``h``, unary minus, and ``*``, ``/`` and ``^`` between
+scalars are ``Coeff`` arithmetic, a scalar times an element is
+:meth:`~qhcontract.superalgebra.Element.scale`, and a final scalar becomes
+a scalar element.  Only a product of two elements, that of ``*`` and every
+step of ``^`` on an element, is a product of the algebra: in the free
+algebra, or, given a confluent rule system, in its quotient, where it is
+the normal form of the product of its normal factors, from
 :meth:`~qhcontract.rewrite.RuleSystem.multiply`, which reads the normal
 form of each word times a letter from the rule system's kept table.  Atoms
 are normal, and sums, negations and scalar multiples of normal elements
@@ -76,9 +83,12 @@ MAX_EXPONENT = 100_000
 # paper's scalars need only a few
 MAX_LITERAL_DIGITS = 1000
 
+_Q, _H = Coeff.q(), Coeff.h()
+
 
 class _ExprParser:
-    """Recursive-descent parser evaluating directly to an Element."""
+    """Recursive-descent parser evaluating directly to a value: a Coeff
+    until a generator enters it, an Element from then on."""
 
     def __init__(self, text: str, algebra: AlgebraSpec, line=None, rules=None):
         self.algebra = algebra
@@ -93,11 +103,12 @@ class _ExprParser:
             if m.lastgroup != "ws":
                 self.tokens.append((m.lastgroup, m.group(), pos + 1))
             pos = m.end()
+        self.end = len(text) + 1  # the column of the end of input
         self.i = 0
         self.depth = 0
 
     def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", self.end)
 
     def _next(self):
         tok = self._peek()
@@ -112,6 +123,9 @@ class _ExprParser:
         if self.depth > MAX_NESTING:
             self._error(f"expression nested deeper than {MAX_NESTING} levels", col)
 
+    def _element(self, value) -> Element:
+        return value if type(value) is Element else self.algebra.scalar(value)
+
     def parse(self) -> Element:
         if not self.tokens:
             self._error("empty expression")
@@ -119,34 +133,40 @@ class _ExprParser:
         kind, text, col = self._peek()
         if kind is not None:
             self._error(f"unexpected {text!r}", col)
-        return value
+        return self._element(value)
 
-    def _expr(self) -> Element:
+    def _expr(self):
         value = self._term()
         while True:
             kind, text, _col = self._peek()
             if kind == "op" and text in "+-":
                 self._next()
                 rhs = self._term()
+                if type(value) is not type(rhs):
+                    value, rhs = self._element(value), self._element(rhs)
                 value = value + rhs if text == "+" else value - rhs
             else:
                 return value
 
-    def _term(self) -> Element:
+    def _term(self):
         value = self._factor()
         while True:
             kind, text, col = self._peek()
             if kind == "op" and text in "*/":
                 self._next()
                 rhs = self._factor()
-                if text == "*":
-                    value = self.mul(value, rhs)
+                if text == "/":
+                    rhs = self._unit_inverse(rhs, col)
+                if type(rhs) is Coeff:
+                    value = value * rhs if type(value) is Coeff else value.scale(rhs)
+                elif type(value) is Coeff:
+                    value = rhs.scale(value)
                 else:
-                    value = value.scale(self._unit_inverse(rhs, col))
+                    value = self.mul(value, rhs)
             else:
                 return value
 
-    def _factor(self) -> Element:
+    def _factor(self):
         kind, text, col = self._peek()
         if kind == "op" and text == "-":
             self._next()
@@ -156,16 +176,17 @@ class _ExprParser:
             return value
         return self._primary()
 
-    def _primary(self) -> Element:
+    def _primary(self):
         value = self._atom()
         kind, text, col = self._peek()
         if kind == "op" and text == "^":
             self._next()
             n = self._exponent()
-            if n >= 0:
-                return power(value, n, self.algebra.unit(), self.mul)
-            inv = self._unit_inverse(value, col)
-            return self.algebra.scalar(inv ** (-n))
+            if n < 0:
+                return self._unit_inverse(value, col) ** -n
+            if type(value) is Coeff:
+                return value ** n
+            return power(value, n, self.algebra.unit(), self.mul)
         return value
 
     def _exponent(self) -> int:
@@ -183,17 +204,17 @@ class _ExprParser:
             self._error(f"exponent larger than {MAX_EXPONENT} in absolute value", start)
         return sign * int(digits)
 
-    def _atom(self) -> Element:
+    def _atom(self):
         kind, text, col = self._next()
         if kind == "int":
             if len(text.lstrip("0")) > MAX_LITERAL_DIGITS:
                 self._error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", col)
-            return self.algebra.scalar(int(text))
+            return Coeff.rational(int(text))
         if kind == "name":
             if text == "q":
-                return self.algebra.scalar(Coeff.q())
+                return _Q
             if text == "h":
-                return self.algebra.scalar(Coeff.h())
+                return _H
             if self.algebra.has_generator(text):
                 return self.algebra.gen_element(text)
             raise UnknownName(
@@ -211,9 +232,9 @@ class _ExprParser:
             return value
         self._error(f"unexpected {text!r}" if kind else "unexpected end of expression", col)
 
-    def _unit_inverse(self, e: Element, col) -> Coeff:
-        """The inverse of a scalar element that is a unit; a ParseError otherwise."""
-        c = _as_scalar(e)
+    def _unit_inverse(self, value, col) -> Coeff:
+        """The inverse of a scalar value that is a unit; a ParseError otherwise."""
+        c = value if type(value) is Coeff else _as_scalar(value)
         if c is None:
             self._error("divisor/exponent base must be a scalar", col)
         try:

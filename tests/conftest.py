@@ -10,10 +10,11 @@ import pytest
 
 from qhcontract import grgroup
 from qhcontract.cli import Runner
-from qhcontract.coeffring import Coeff, QHPoly
+from qhcontract.coeffring import Coeff, NotAUnit, QHPoly, power
 from qhcontract.contract import RelationSpan, Substitution, _primitive
 from qhcontract.rewrite import OverlapWitness, _bareiss
-from qhcontract.script import parse_script
+from qhcontract.script import (MAX_LITERAL_DIGITS, UnknownName, _as_scalar, _ExprParser,
+                               parse_script)
 from qhcontract.superalgebra import AlgebraSpec, Element
 
 
@@ -167,6 +168,110 @@ def rescan_reduce(e: Element, rs) -> Element:
                 terms[w] = s
             else:
                 terms.pop(w, None)
+
+
+class ElementExprParser(_ExprParser):
+    """Reference evaluator: every value an Element, scalars included, and
+    every ``*`` and every step of ``^`` one call of the free or the rule
+    product, where ``parse_expression`` keeps scalars as Coeff until a
+    generator enters them.  Tokens, nesting and error positions are the
+    shared ones of the parser.
+    """
+
+    def parse(self) -> Element:
+        if not self.tokens:
+            self._error("empty expression")
+        value = self._expr()
+        kind, text, col = self._peek()
+        if kind is not None:
+            self._error(f"unexpected {text!r}", col)
+        return value
+
+    def _expr(self) -> Element:
+        value = self._term()
+        while True:
+            kind, text, _col = self._peek()
+            if kind == "op" and text in "+-":
+                self._next()
+                rhs = self._term()
+                value = value + rhs if text == "+" else value - rhs
+            else:
+                return value
+
+    def _term(self) -> Element:
+        value = self._factor()
+        while True:
+            kind, text, col = self._peek()
+            if kind == "op" and text in "*/":
+                self._next()
+                rhs = self._factor()
+                if text == "*":
+                    value = self.mul(value, rhs)
+                else:
+                    value = value.scale(self._unit_inverse(rhs, col))
+            else:
+                return value
+
+    def _factor(self) -> Element:
+        kind, text, col = self._peek()
+        if kind == "op" and text == "-":
+            self._next()
+            self._nest(col)
+            value = -self._factor()
+            self.depth -= 1
+            return value
+        return self._primary()
+
+    def _primary(self) -> Element:
+        value = self._atom()
+        kind, text, col = self._peek()
+        if kind == "op" and text == "^":
+            self._next()
+            n = self._exponent()
+            if n >= 0:
+                return power(value, n, self.algebra.unit(), self.mul)
+            inv = self._unit_inverse(value, col)
+            return self.algebra.scalar(inv ** (-n))
+        return value
+
+    def _atom(self) -> Element:
+        kind, text, col = self._next()
+        if kind == "int":
+            if len(text.lstrip("0")) > MAX_LITERAL_DIGITS:
+                self._error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits", col)
+            return self.algebra.scalar(int(text))
+        if kind == "name":
+            if text == "q":
+                return self.algebra.scalar(Coeff.q())
+            if text == "h":
+                return self.algebra.scalar(Coeff.h())
+            if self.algebra.has_generator(text):
+                return self.algebra.gen_element(text)
+            raise UnknownName(f"unknown name {text!r} in algebra {self.algebra.name!r}",
+                              self.line, col)
+        if kind == "op" and text == "(":
+            self._nest(col)
+            value = self._expr()
+            kind, text, col = self._next()
+            if not (kind == "op" and text == ")"):
+                self._error("expected ')'", col)
+            self.depth -= 1
+            return value
+        self._error(f"unexpected {text!r}" if kind else "unexpected end of expression", col)
+
+    def _unit_inverse(self, e: Element, col) -> Coeff:
+        c = _as_scalar(e)
+        if c is None:
+            self._error("divisor/exponent base must be a scalar", col)
+        try:
+            return c.try_inv()
+        except NotAUnit:
+            self._error(f"{c} is not a unit of the scalar ring", col)
+
+
+def element_parse_expression(text, algebra, line=None, rules=None) -> Element:
+    """The value of ``text`` by :class:`ElementExprParser`."""
+    return ElementExprParser(text, algebra, line, rules).parse()
 
 
 def naive_fixpoint_reduce(e: Element, rs) -> Element:

@@ -72,6 +72,16 @@ def test_parse_error_positions():
         parse_expression("", builtin_algebras()["GRq2"])
     with pytest.raises(ParseError):
         parse_expression("(alpha'", builtin_algebras()["GRq2"])
+    # the end of input is the column after the last character
+    for text, message in (("x^", "column 3: exponent must be an integer"),
+                          ("x*", "column 3: unexpected end of expression"),
+                          ("x+", "column 3: unexpected end of expression"),
+                          ("-", "column 2: unexpected end of expression"),
+                          ("(x", "column 3: expected ')'"),
+                          ("x^ ", "column 4: exponent must be an integer")):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, builtin_algebras()["hplane"], line=3)
+        assert str(err.value) == f"line 3, {message}"
 
 
 def test_scalar_roundtrip_through_printer(rng):

@@ -335,3 +335,62 @@ def test_equality_fast_path_matches_the_coercing_one():
     assert Coeff.zero() == Coeff(QHPoly.zero()) == 0
     _assert_canonical_storage(Coeff.zero().num)
     assert not Coeff.zero() and Coeff.zero().is_zero() and (ONE - ONE).is_zero()
+
+
+def _assert_canonical_coeff(c):
+    """The numerator is stored canonically, and holds no factor q while
+    qpow > 0 and no factor (q-1) while q1pow > 0; zero is 0/1."""
+    _assert_canonical_storage(c.num)
+    if not c:
+        assert (c.qpow, c.q1pow) == (0, 0)
+    if c.qpow:
+        assert c.num.q_valuation() == 0, c
+    if c.q1pow:
+        assert c.num.div_q1() is None, c
+
+
+def _product_sums(rng):
+    """Lists of Coeff pairs: random ones, a single pair, pairs that cancel
+    to 0, and pairs whose last one makes the sum a chosen value whose
+    numerator carries factors of q and (q-1) to cancel."""
+    for _ in range(400):
+        pairs = [(random_coeff(rng), random_coeff(rng)) for _ in range(rng.randint(1, 4))]
+        kind = rng.randrange(4)
+        if kind == 1:
+            pairs = pairs[:1]
+        elif kind == 2:
+            x, y = pairs[0]
+            pairs += [(y, -x)]
+        elif kind == 3:
+            total = sum((x * y for x, y in pairs), Coeff.zero())
+            num = random_coeff(rng).num.mul_qpow(rng.randint(0, 2)).mul_q1pow(rng.randint(1, 3))
+            target = Coeff(num, rng.randint(1, 3), rng.randint(1, 3))
+            # the last pair holds a unit with q and (q-1) denominators
+            unit = Coeff(QHPoly.const(rng.choice((1, -2, Fraction(3, 2)))),
+                         rng.randint(0, 2), rng.randint(0, 2))
+            pairs.append(((target - total) * unit.try_inv(), unit))
+        yield pairs
+
+
+def test_sum_of_coeff_products_matches_the_sequential_sum():
+    rng = random.Random("sum-of-coeff-products")
+    seen = set()
+    for pairs in _product_sums(rng):
+        want = Coeff.zero()
+        for x, y in pairs:
+            want = want + x * y
+        got = coeffring._sum_of_coeff_products(pairs)
+        assert got == want, pairs
+        assert str(got) == str(want)
+        _assert_canonical_coeff(got)
+        m = max(x.qpow + y.qpow for x, y in pairs)
+        k = max(x.q1pow + y.q1pow for x, y in pairs)
+        seen.add(("single" if len(pairs) == 1 else "zero" if not got else "sum",
+                  any(x.q1pow + y.q1pow < k for x, y in pairs),
+                  bool(got) and got.qpow < m and got.q1pow < k,
+                  any(x.num.den * y.num.den > 1 for x, y in pairs)))
+    # every shape, with a (q-1) lift, with both cancellations at the end,
+    # and with rational denominators
+    assert {s[0] for s in seen} == {"single", "zero", "sum"}
+    assert ("sum", True, True, True) in seen
+    assert ("zero", True, False, True) in seen

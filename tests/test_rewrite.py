@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qhcontract import rewrite
 from qhcontract.coeffring import Coeff, QHPoly
 from qhcontract.rewrite import (NotConfluent, OrientationFailure, RuleSystem, _bareiss,
                                 _reduce, _reduce_row, confluent_rules, orient)
@@ -339,24 +340,34 @@ def _normal_words(rs, length):
     return words
 
 
-def test_multiply_is_the_normal_form_of_the_free_product():
+def test_multiply_is_the_normal_form_of_the_free_product(monkeypatch):
     algebras = _nf_algebras()
     assert len(algebras) >= 12  # the eight builtins and the confluent demo algebras
     rng = random.Random("multiply")
     scalars = [Q * Q - 1, Q - 1, Q**-1, (Q - 1) ** -2, H * Q]
+    sums = []  # the number of products each fused sum adds
+    fused = rewrite._sum_of_coeff_products
+    monkeypatch.setattr(rewrite, "_sum_of_coeff_products",
+                        lambda pairs: sums.append(len(pairs)) or fused(pairs))
     for label, spec in algebras.items():
         rs = orient(spec)
         words = _normal_words(rs, 3)
+        top = [w for w in words if len(w) == len(words[-1])]
+        letters = [(g,) for g in range(len(spec.generators))]
 
-        def element():
-            picks = rng.sample(words, min(len(words), rng.randint(0, 4)))
+        def element(words, low, high):
+            picks = rng.sample(words, min(len(words), rng.randint(low, high)))
             return Element(spec, {w: random_coeff(rng) * rng.choice(scalars) for w in picks})
 
+        # any normal elements; normal words of top degree times linear
+        # forms, whose products collide on few words
         for _ in range(12):
-            a, b = element(), element()
-            got, want = rs.multiply(a, b), rs.normal_form(a.free_mul(b))
-            assert got == want, (label, str(a), str(b))
-            assert str(got) == str(want)
+            for a, b in ((element(words, 0, 4), element(words, 0, 4)),
+                         (element(top, 2, 4), element(letters, 1, len(letters)))):
+                got, want = rs.multiply(a, b), rs.normal_form(a.free_mul(b))
+                assert got == want, (label, str(a), str(b))
+                assert str(got) == str(want)
+    assert max(sums) >= 6
 
 
 # (system, brute-force degree bound, confluent, overlaps): degree 5
